@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import Classifier, check_X, check_X_y
-from .tree import DecisionTreeClassifier
+from .tree import DecisionTreeClassifier, _PackedTrees
 
 
 class RandomForestClassifier(Classifier):
@@ -47,10 +47,12 @@ class RandomForestClassifier(Classifier):
         self.max_features = max_features
         self.seed = seed
         self._trees: list[DecisionTreeClassifier] = []
+        self._packed: _PackedTrees | None = None
 
     def _reset(self) -> None:
         super()._reset()
         self._trees = []
+        self._packed = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
@@ -66,18 +68,17 @@ class RandomForestClassifier(Classifier):
                 max_features=self.max_features,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
-            tree.fit(X[indices], y[indices])
+            tree._fit_checked(X[indices], y[indices])
             self._trees.append(tree)
+        self._packed = None
         self._fitted = True
         return self
 
     def predict_proba(self, X) -> np.ndarray:
         self._require_fitted()
-        X = check_X(X)
-        votes = np.zeros(len(X))
-        for tree in self._trees:
-            votes += tree.predict_proba(X)
-        return votes / len(self._trees)
+        if self._packed is None:
+            self._packed = _PackedTrees.of([tree._root for tree in self._trees])
+        return self._packed.vote_sum(check_X(X)) / len(self._trees)
 
     @property
     def feature_importances_(self) -> np.ndarray:

@@ -41,6 +41,100 @@ def _gini(n_pos: float, n_total: float) -> float:
     return 2.0 * p * (1.0 - p)
 
 
+@dataclass(frozen=True)
+class _FitContext:
+    """What every split of one fit shares."""
+
+    rng: np.random.Generator
+    #: ``0, 1, ..., k - 1`` for the k features examined per split
+    positions: np.ndarray
+    min_leaf: int
+    #: the column ``1, 2, ..., n - 1``: left-child sizes at the root's n
+    ramp: np.ndarray
+
+
+#: Prediction walks at most this many (tree, row) cells at once.
+_WALK_CELLS = 1 << 16
+
+
+@dataclass(frozen=True)
+class _PackedTrees:
+    """Flat pre-order node arrays of one or more fitted trees.
+
+    A leaf tests feature 0 and links to itself on both sides, so a walk
+    can take the same step for every (tree, row) cell on every depth level.
+    Models build their pack on first prediction, not when fitted or
+    loaded: a model read back from the artifact store may never predict.
+    The pack is never serialised.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
+    depth: int
+
+    @classmethod
+    def of(cls, roots: list[_Node]) -> "_PackedTrees":
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[float] = []
+
+        def add(node: _Node, depth: int) -> int:
+            i = len(value)
+            feature.append(0)
+            threshold.append(0.0)
+            left.append(i)
+            right.append(i)
+            value.append(node.positive_fraction)
+            if node.is_leaf:
+                return depth
+            feature[i] = node.feature
+            threshold[i] = node.threshold
+            left[i] = len(value)
+            below = add(node.left, depth + 1)
+            right[i] = len(value)
+            return max(below, add(node.right, depth + 1))
+
+        starts, depth = [], 0
+        for root in roots:
+            starts.append(len(value))
+            depth = max(depth, add(root, 0))
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            value=np.array(value, dtype=float),
+            roots=np.array(starts, dtype=np.intp),
+            depth=depth,
+        )
+
+    def vote_sum(self, X: np.ndarray) -> np.ndarray:
+        """Per row, the sum of its leaf values over the trees, in tree order.
+
+        All rows walk all trees together, one depth level per step; the
+        values are accumulated tree by tree (a cumulative sum, not a
+        pairwise one), so the result is bit-identical to adding each
+        tree's prediction in turn.
+        """
+        out = np.empty(len(X))
+        step = max(1, _WALK_CELLS // len(self.roots))
+        for start in range(0, len(X), step):
+            block = X[start : start + step]
+            rows = np.arange(len(block))
+            node = np.repeat(self.roots[:, None], len(block), axis=1)
+            for _ in range(self.depth):
+                go_left = block[rows, self.feature[node]] <= self.threshold[node]
+                node = np.where(go_left, self.left[node], self.right[node])
+            out[start : start + step] = np.cumsum(self.value[node], axis=0)[-1]
+        return out
+
+
 class DecisionTreeClassifier(Classifier):
     """Binary CART tree.
 
@@ -77,12 +171,14 @@ class DecisionTreeClassifier(Classifier):
         self._root: _Node | None = None
         self._n_features = 0
         self._importances: np.ndarray | None = None
+        self._packed: _PackedTrees | None = None
 
     def _reset(self) -> None:
         super()._reset()
         self._root = None
         self._n_features = 0
         self._importances = None
+        self._packed = None
 
     # ------------------------------------------------------------------
     # fitting
@@ -98,49 +194,52 @@ class DecisionTreeClassifier(Classifier):
         return min(n, n_features)
 
     def _best_split(
-        self, X: np.ndarray, y: np.ndarray, features: np.ndarray
+        self, X: np.ndarray, y: np.ndarray, features: np.ndarray, fit: _FitContext
     ) -> tuple[int, float, float] | None:
         """Best (feature, threshold, impurity_decrease) or None if no split.
 
-        Vectorised over split positions: for each feature the values are
-        sorted once and every distinct threshold is scored with cumulative
-        positive counts.
+        Scores every candidate feature in one pass: the candidate columns
+        are sorted together (stably), positive counts accumulate down each
+        column, and every admissible split position is scored elementwise.
+        Ties resolve as a feature-by-feature scan would: the first position
+        within a feature, then the first feature in *features* order.
         """
         n = len(y)
-        parent_impurity = _gini(float(y.sum()), float(n))
-        best: tuple[int, float, float] | None = None
-        min_leaf = self.min_samples_leaf
-        for f in features:
-            order = np.argsort(X[:, f], kind="mergesort")
-            xs = X[order, f]
-            pos_cum = np.cumsum(y[order])
-            total_pos = float(pos_cum[-1])
-            n_left = np.arange(1, n, dtype=float)  # split after position i
-            valid = xs[1:] > xs[:-1]
-            valid &= (n_left >= min_leaf) & (n - n_left >= min_leaf)
-            if not valid.any():
-                continue
-            pos_left = pos_cum[:-1].astype(float)
-            pos_right = total_pos - pos_left
-            n_right = n - n_left
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_left = pos_left / n_left
-                p_right = pos_right / n_right
-                impurity = (
-                    n_left * 2.0 * p_left * (1.0 - p_left)
-                    + n_right * 2.0 * p_right * (1.0 - p_right)
-                ) / n
-            decrease = np.where(valid, parent_impurity - impurity, -np.inf)
-            i = int(np.argmax(decrease))
-            if decrease[i] > 1e-12 and (best is None or decrease[i] > best[2]):
-                threshold = (xs[i] + xs[i + 1]) / 2.0
-                if threshold >= xs[i + 1]:  # midpoint rounded up to the
-                    threshold = xs[i]  # upper value; fall back to "<= xs[i]"
-                best = (int(f), float(threshold), float(decrease[i]))
-        return best
+        # a split after sorted position i leaves i + 1 rows on the left;
+        # positions lo <= i < hi leave at least min_leaf rows on each side
+        lo, hi = fit.min_leaf - 1, n - fit.min_leaf
+        if lo >= hi or not len(features):
+            return None
+        columns = X[:, features]
+        order = np.argsort(columns, axis=0, kind="stable")
+        xs = columns[order, fit.positions]
+        pos_cum = np.cumsum(y[order], axis=0)
+        total_pos = float(pos_cum[-1, 0])
+        parent_impurity = _gini(total_pos, float(n))
+        pos_left = pos_cum[lo:hi].astype(float)
+        n_left = fit.ramp[lo:hi]
+        n_right = n - n_left
+        p_left = pos_left / n_left
+        p_right = (total_pos - pos_left) / n_right
+        impurity = (
+            n_left * 2.0 * p_left * (1.0 - p_left)
+            + n_right * 2.0 * p_right * (1.0 - p_right)
+        ) / n
+        valid = xs[lo + 1 : hi + 1] > xs[lo:hi]
+        decrease = np.where(valid, parent_impurity - impurity, -np.inf)
+        per_feature = decrease.max(axis=0)
+        j = int(per_feature.argmax())
+        if not per_feature[j] > 1e-12:
+            return None
+        i = lo + int(decrease[:, j].argmax())
+        lower, upper = xs[i, j], xs[i + 1, j]
+        threshold = (lower + upper) / 2.0
+        if threshold >= upper:  # midpoint rounded up to the upper value;
+            threshold = lower  # fall back to "<= lower"
+        return int(features[j]), float(threshold), float(per_feature[j])
 
     def _build(
-        self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator
+        self, X: np.ndarray, y: np.ndarray, depth: int, fit: _FitContext
     ) -> _Node:
         n = len(y)
         n_pos = float(y.sum())
@@ -155,29 +254,40 @@ class DecisionTreeClassifier(Classifier):
             or (self.max_depth is not None and depth >= self.max_depth)
         ):
             return node
-        k = self._n_candidate_features(X.shape[1])
+        k = len(fit.positions)
         if k < X.shape[1]:
-            features = rng.choice(X.shape[1], size=k, replace=False)
+            features = fit.rng.choice(X.shape[1], size=k, replace=False)
         else:
-            features = np.arange(X.shape[1])
-        split = self._best_split(X, y, features)
+            features = fit.positions
+        split = self._best_split(X, y, features, fit)
         if split is None:
             return node
         feature, threshold, decrease = split
         mask = X[:, feature] <= threshold
         node.feature = feature
         node.threshold = threshold
-        node.left = self._build(X[mask], y[mask], depth + 1, rng)
-        node.right = self._build(X[~mask], y[~mask], depth + 1, rng)
+        node.left = self._build(X[mask], y[mask], depth + 1, fit)
+        node.right = self._build(X[~mask], y[~mask], depth + 1, fit)
         self._importances[feature] += decrease * n
         return node
 
     def fit(self, X, y) -> "DecisionTreeClassifier":
         X, y = check_X_y(X, y)
+        return self._fit_checked(X, y)
+
+    def _fit_checked(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
+        """Fit on a pair :func:`check_X_y` has already validated."""
         self._n_features = X.shape[1]
         self._importances = np.zeros(self._n_features)
-        rng = np.random.default_rng(self.seed)
-        self._root = self._build(X, y, depth=0, rng=rng)
+        k = self._n_candidate_features(self._n_features)
+        fit = _FitContext(
+            rng=np.random.default_rng(self.seed),
+            positions=np.arange(min(k, self._n_features)),
+            min_leaf=max(self.min_samples_leaf, 1),
+            ramp=np.arange(1, len(y), dtype=float)[:, None],
+        )
+        self._root = self._build(X, y, 0, fit)
+        self._packed = None
         total = self._importances.sum()
         if total > 0:
             self._importances /= total
@@ -187,16 +297,11 @@ class DecisionTreeClassifier(Classifier):
     # ------------------------------------------------------------------
     # prediction & introspection
     # ------------------------------------------------------------------
-    def _leaf_for(self, x: np.ndarray) -> _Node:
-        node = self._root
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
     def predict_proba(self, X) -> np.ndarray:
         self._require_fitted()
-        X = check_X(X)
-        return np.array([self._leaf_for(x).positive_fraction for x in X])
+        if self._packed is None:
+            self._packed = _PackedTrees.of([self._root])
+        return self._packed.vote_sum(check_X(X))
 
     @property
     def feature_importances_(self) -> np.ndarray:

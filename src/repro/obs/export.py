@@ -52,11 +52,12 @@ def prometheus_name(name: str) -> str:
 
 
 def _fmt(value: float) -> str:
-    """Prometheus sample-value formatting (``%g``; integers stay bare)."""
+    """Prometheus sample-value formatting: integers stay bare, other values
+    render as the shortest string that reads back as the same float."""
     as_float = float(value)
     if as_float == int(as_float) and abs(as_float) < 1e15:
         return str(int(as_float))
-    return f"{as_float:g}"
+    return repr(as_float)
 
 
 def render_prometheus(registry: Any) -> str:

@@ -466,11 +466,11 @@ class MatchService:
             matrix = extract_feature_vectors(
                 candidates, self.feature_set, session=self._session
             )
-            scores = {
-                tuple(p): float(s)
-                for p, s in self.matcher.predict_proba(matrix).items()
-            }
-            predicted = set(self.matcher.predict_matches(matrix))
+            probabilities = self.matcher.predict_proba(matrix)
+            scores = {tuple(p): float(s) for p, s in probabilities.items()}
+            # every model predicts a match at probability >= 0.5, so the
+            # scores give the matches without a second pass over the forest
+            predicted = {p for p, s in probabilities.items() if s >= 0.5}
         flipped_by: dict[Pair, str] = {}
         if self.negative_rules and to_score:
             r_index = self._r_row_index

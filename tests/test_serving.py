@@ -170,6 +170,24 @@ class TestMatch:
         flipped = next(c for c in first.candidates if c.pair == (9, 50))
         assert flipped.flipped_by == "wis" and not flipped.is_match
 
+    def test_match_scores_candidates_in_one_model_pass(self, monkeypatch):
+        service = build_service()
+        model = service.matcher.model
+        calls = []
+        original = model.predict_proba
+
+        def counting(X):
+            calls.append(len(X))
+            return original(X)
+
+        monkeypatch.setattr(model, "predict_proba", counting)
+        response = service.match({"id": 9, "num": "WIS00001", "t": "a b c d"})
+        scored = [c for c in response.candidates if c.sure_rule is None]
+        assert calls == [len(scored)]
+        for candidate in scored:
+            predicted = candidate.score >= 0.5
+            assert candidate.is_match == (predicted and candidate.flipped_by is None)
+
 
 class TestMetrics:
     def test_serving_metrics_recorded(self):
