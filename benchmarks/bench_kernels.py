@@ -8,27 +8,21 @@ Levenshtein (per-pair and batch) against the unbounded reference DP.
 Reports throughput and the kernel-vs-reference speedup per measure *and
 per family*, and asserts every value agrees exactly while timing.
 
-Three set-measure families are timed, each against the same reference:
+Two set-measure families are timed, each against the same reference:
 
 * **set** — the per-pair id-frozenset kernels (``*_id_sets``); deployed
   as the per-pair shape, family mean asserted ``>= 1.0`` on both
   tokenizations;
-* **merge** — the per-pair merge-array kernels (``*_ids``); RETIRED from
-  routing after this very bench caught them at 0.40-0.86x on qgm_3
-  (per-pair Python call overhead dominates the integer merges). Reported
-  without an assert, as the regression record;
 * **batch** — the chunk-columnar kernels in
   :mod:`repro.similarity.batch`, timed the way production runs them: one
   :class:`~repro.runtime.columnar.TokenColumn` build plus one kernel
   call per chunk (construction included in the timing). Deployed on the
   extraction and blocker hot loops; family mean asserted ``>= 1.0`` on
-  both tokenizations *and* ``>= `` the set family on qgm_3 — the
-  acceptance bar for retiring the merge family.
+  both tokenizations *and* ``>=`` the set family on qgm_3, where
+  per-pair call overhead weighs most.
 
 Per-family speedups are reported under ``family_<fam>_<tok>_speedup``
-keys precisely so a regressing family can never hide behind a blended
-mean again (the old ``mean_set_measure_speedup`` blended 2-5x set-kernel
-wins with sub-1.0 merge losses and stayed comfortably green).
+keys so a regressing family cannot hide behind a blended mean.
 
 Writes ``benchmarks/out/kernels.txt`` + ``.json``; the CI perf-smoke job
 runs this bench, re-checks the JSON with
@@ -57,37 +51,18 @@ N_PAIRS = 60_000
 N_LEV_PAIRS = 1_500
 LEV_BOUND = 4
 
-#: (name, string reference, set kernel, merge kernel, batch kernel)
+#: (name, string reference, set kernel, batch kernel)
 MEASURES = [
-    (
-        "jaccard",
-        jaccard,
-        kernels.jaccard_id_sets,
-        kernels.jaccard_ids,
-        batch.jaccard_batch,
-    ),
-    (
-        "cosine",
-        cosine_set,
-        kernels.cosine_id_sets,
-        kernels.cosine_ids,
-        batch.cosine_batch,
-    ),
-    ("dice", dice, kernels.dice_id_sets, kernels.dice_ids, batch.dice_batch),
+    ("jaccard", jaccard, kernels.jaccard_id_sets, batch.jaccard_batch),
+    ("cosine", cosine_set, kernels.cosine_id_sets, batch.cosine_batch),
+    ("dice", dice, kernels.dice_id_sets, batch.dice_batch),
     (
         "overlap_coefficient",
         overlap_coefficient,
         kernels.overlap_coefficient_id_sets,
-        kernels.overlap_coefficient_ids,
         batch.overlap_coefficient_batch,
     ),
-    (
-        "overlap_size",
-        overlap_size,
-        kernels.overlap_size_id_sets,
-        kernels.overlap_size_ids,
-        batch.overlap_size_batch,
-    ),
+    ("overlap_size", overlap_size, kernels.overlap_size_id_sets, batch.overlap_size_batch),
 ]
 
 
@@ -127,7 +102,6 @@ def test_kernel_throughput(run, emit_report):
         "------------------------------------------------------------",
         f"pairs per measure: {N_PAIRS}  (values asserted equal while timing)",
         "set   = per-pair id-frozenset kernel (deployed per-pair shape)",
-        "merge = per-pair merge-array kernel (RETIRED from routing)",
         "batch = chunk-columnar kernel incl. TokenColumn build (deployed hot path)",
         "",
     ]
@@ -143,25 +117,18 @@ def test_kernel_throughput(run, emit_report):
         token_volume = sum(len(a) + len(b) for a, b, _, _ in pairs)
         str_args = [(a, b) for a, b, _, _ in pairs]
         set_args = [(ea.ids, eb.ids) for _, _, ea, eb in pairs]
-        merge_args = [(ea.sorted, eb.sorted) for _, _, ea, eb in pairs]
         a_entries = [ea for _, _, ea, _ in pairs]
         b_entries = [eb for _, _, _, eb in pairs]
         lines.append(f"[{tok_name}] ~{token_volume / len(pairs):.1f} tokens/pair")
-        speedups = {"set": [], "merge": [], "batch": []}
-        for name, reference, set_kernel, merge_kernel, batch_kernel in MEASURES:
+        speedups = {"set": [], "batch": []}
+        for name, reference, set_kernel, batch_kernel in MEASURES:
             expected, ref_s = _timed_loop(reference, str_args)
             got_set, set_s = _timed_loop(set_kernel, set_args)
-            got_merge, merge_s = _timed_loop(merge_kernel, merge_args)
             got_batch, batch_s = _timed_batch(batch_kernel, a_entries, b_entries)
             assert got_set == expected, f"{name}/{tok_name}: set kernel diverged"
-            assert got_merge == expected, f"{name}/{tok_name}: merge kernel diverged"
             assert got_batch == expected, f"{name}/{tok_name}: batch kernel diverged"
             data[f"{name}_{tok_name}_ref_s"] = ref_s
-            for family, spent in (
-                ("set", set_s),
-                ("merge", merge_s),
-                ("batch", batch_s),
-            ):
+            for family, spent in (("set", set_s), ("batch", batch_s)):
                 speedup = ref_s / spent
                 speedups[family].append(speedup)
                 data[f"{name}_{tok_name}_{family}_kernel_s"] = spent
@@ -169,7 +136,6 @@ def test_kernel_throughput(run, emit_report):
             lines.append(
                 f"  {name:<20} ref {len(pairs) / ref_s:>9.0f} calls/s"
                 f"  set {ref_s / set_s:.2f}x"
-                f"  merge {ref_s / merge_s:.2f}x"
                 f"  batch {ref_s / batch_s:.2f}x"
                 f"  ({token_volume / batch_s / 1e6:.1f}M tokens/s batch)"
             )
@@ -181,7 +147,7 @@ def test_kernel_throughput(run, emit_report):
             "  family means: "
             + "  ".join(
                 f"{family} {family_speedups[(family, tok_name)]:.2f}x"
-                for family in ("set", "merge", "batch")
+                for family in ("set", "batch")
             )
         )
         lines.append("")
@@ -221,9 +187,8 @@ def test_kernel_throughput(run, emit_report):
 
     # Per-family gates: every *deployed* family must beat the string
     # reference on both tokenizations, and the batch family must beat the
-    # per-pair set family on qgm_3 (the tokenization that exposed the
-    # merge regression). The merge family is reported unasserted — it is
-    # retired, and its numbers document why.
+    # per-pair set family on qgm_3 (where per-pair call overhead weighs
+    # most).
     for family in ("set", "batch"):
         for tok_name in ("ws", "qgm_3"):
             mean = family_speedups[(family, tok_name)]

@@ -1,16 +1,16 @@
-"""Runtime — legacy strings vs interned kernels, serial vs shared-pool parallel.
+"""Runtime — interned kernels, serial vs shared-pool parallel.
 
-Times the two hot paths of the pipeline at full scale three ways:
+Times the two hot paths of the pipeline at full scale two ways:
 
-* **legacy serial** — the pre-kernel string paths (``use_kernels(False)``);
 * **kernel serial** — the interned-id kernel paths (``workers=1``);
 * **kernel parallel** — the kernel paths under one
   :class:`~repro.runtime.EngineSession` whose worker pool spans blocking
   and extraction (``REPRO_WORKERS`` workers, default 2).
 
-Bit-identity is asserted while timing: the kernel outputs must equal the
-legacy outputs pair-for-pair / cell-for-cell, and the parallel outputs
-must equal the serial ones. The timings are then compared against the
+Bit-identity is asserted: the serial outputs must equal the string
+references in ``tests/blocking_reference.py`` pair-for-pair /
+cell-for-cell (computed untimed), and the parallel outputs must equal
+the serial ones. The timings are then compared against the
 frozen pre-kernel numbers in
 ``benchmarks/baselines/runtime_parallel_pre_kernel.json`` (recorded on
 this container before the kernel substrate landed):
@@ -27,18 +27,22 @@ the honest expectation there, and the report says which case it hit.
 """
 
 import os
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
-from repro.casestudy.blocking_plan import run_blocking
-from repro.casestudy.matching import base_feature_set
-from repro.features import extract_feature_vectors
-from repro.obs import load_benchmark_result
-from repro.runtime import EngineSession, Instrumentation
-from repro.similarity import kernels
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from repro.casestudy.blocking_plan import make_blockers, run_blocking  # noqa: E402
+from repro.casestudy.matching import base_feature_set  # noqa: E402
+from repro.features import extract_feature_vectors  # noqa: E402
+from repro.obs import load_benchmark_result  # noqa: E402
+from repro.runtime import EngineSession, Instrumentation  # noqa: E402
+from tests.blocking_reference import block_pairs, extract_rows  # noqa: E402
 
 WORKERS = int(os.environ.get("REPRO_WORKERS", "2"))
 BASELINE = os.path.join(
@@ -58,7 +62,7 @@ def test_runtime_parallel(run, emit_report):
     tables = run.projected
     cpus = os.cpu_count() or 1
     lines = [
-        "Runtime — legacy vs kernels, serial vs shared-pool parallel",
+        "Runtime — kernels, serial vs shared-pool parallel",
         "-----------------------------------------------------------",
         f"workers: {WORKERS}   host cpus: {cpus}",
         "",
@@ -67,24 +71,23 @@ def test_runtime_parallel(run, emit_report):
     run_blocking(tables)  # warm the shared token cache: all timed runs hit it
     features = base_feature_set(tables)
 
-    # -- legacy string paths (pre-kernel algorithms, serial) --------------
-    with kernels.use_kernels(False):
-        legacy_block, legacy_block_s = _timed(run_blocking, tables)
-        legacy_matrix, legacy_extract_s = _timed(
-            extract_feature_vectors, legacy_block.candidates, features
-        )
-
     # -- kernel paths, serial ---------------------------------------------
     serial_block, serial_block_s = _timed(run_blocking, tables)
     serial_matrix, serial_extract_s = _timed(
         extract_feature_vectors, serial_block.candidates, features
     )
 
-    # kernel outputs must be bit-identical to the legacy string paths
-    for stage in ("c1", "c2", "c3", "candidates"):
-        assert getattr(serial_block, stage).pairs == getattr(legacy_block, stage).pairs
-    assert serial_matrix.pairs == legacy_matrix.pairs
-    assert np.array_equal(serial_matrix.values, legacy_matrix.values, equal_nan=True)
+    # kernel outputs must be bit-identical to the string references
+    args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
+    _, overlap, coefficient = make_blockers()
+    assert serial_block.c2.pairs == block_pairs(overlap, *args)
+    assert serial_block.c3.pairs == block_pairs(coefficient, *args)
+    assert serial_matrix.pairs == serial_block.candidates.pairs
+    assert np.array_equal(
+        serial_matrix.values,
+        extract_rows(serial_block.candidates, features),
+        equal_nan=True,
+    )
 
     # -- kernel paths, one session sharing its pool across both stages ----
     instr = Instrumentation("blocking(parallel)")
@@ -107,16 +110,14 @@ def test_runtime_parallel(run, emit_report):
     assert parallel_matrix.pairs == serial_matrix.pairs
     assert np.array_equal(parallel_matrix.values, serial_matrix.values, equal_nan=True)
 
-    legacy_total = legacy_block_s + legacy_extract_s
     serial_total = serial_block_s + serial_extract_s
     parallel_total = parallel_block_s + parallel_extract_s
     lines += [
-        f"blocking   legacy={legacy_block_s:.3f}s  kernel={serial_block_s:.3f}s  "
+        f"blocking   kernel={serial_block_s:.3f}s  "
         f"kernel+pool={parallel_block_s:.3f}s  |C|={len(parallel_block.candidates)}",
-        f"extraction legacy={legacy_extract_s:.3f}s  kernel={serial_extract_s:.3f}s  "
+        f"extraction kernel={serial_extract_s:.3f}s  "
         f"kernel+pool={parallel_extract_s:.3f}s  cells={parallel_matrix.values.size}",
-        f"total      legacy={legacy_total:.3f}s  kernel={serial_total:.3f}s  "
-        f"kernel+pool={parallel_total:.3f}s",
+        f"total      kernel={serial_total:.3f}s  kernel+pool={parallel_total:.3f}s",
         f"shared pool shipped {pool_chunks} chunks / {pool_bytes} pickled bytes",
         "",
     ]
@@ -126,8 +127,6 @@ def test_runtime_parallel(run, emit_report):
         "blocking_parallel": parallel_block_s,
         "extraction_serial": serial_extract_s,
         "extraction_parallel": parallel_extract_s,
-        "legacy_blocking_serial": legacy_block_s,
-        "legacy_extraction_serial": legacy_extract_s,
         "cpu_count": cpus,
         "pool_pickled_bytes": pool_bytes,
         "pool_pickled_chunks": pool_chunks,
@@ -176,8 +175,8 @@ def test_runtime_parallel(run, emit_report):
         )
     lines += [
         "",
-        "All three paths produce identical outputs (asserted pair-for-pair /",
-        "cell-for-cell above).",
+        "Serial, parallel and the string references produce identical",
+        "outputs (asserted pair-for-pair / cell-for-cell above).",
         "",
         str(instr.report()),
         "",

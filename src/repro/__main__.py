@@ -22,8 +22,7 @@ scenario that runs in well under a minute), ``--out DIR`` (for release).
 ``casestudy`` additionally takes ``--trace PATH`` (write a JSONL trace),
 ``--manifest PATH`` (write a RunManifest JSON, implies provenance
 collection), ``--workers N``, ``--store DIR`` (content-addressed artifact
-store; a re-run reuses every unchanged stage), ``--no-kernels`` (force
-the pure-Python similarity paths), ``--resources`` (sample per-stage
+store; a re-run reuses every unchanged stage), ``--resources`` (sample per-stage
 CPU/RSS/GC deltas into the trace) and ``--blocker CONFIG_JSON`` (a
 three-element JSON config list building the Section-7 plan through the
 blocker registry — see :mod:`repro.blocking.factory`). ``serve`` takes
@@ -147,7 +146,6 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
         trace_path=trace_path,
         instrumentation=instrumentation,
         provenance=manifest_path is not None,
-        kernels=False if getattr(args, "no_kernels", False) else None,
         seed=config.seed,
         resources=getattr(args, "resources", False),
     )
@@ -374,9 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     casestudy.add_argument("--store", metavar="DIR",
                            help="artifact-store directory; re-runs reuse "
                                 "every unchanged stage")
-    casestudy.add_argument("--no-kernels", action="store_true",
-                           help="force the pure-Python similarity paths "
-                                "for this run")
     casestudy.add_argument("--plan", metavar="CONFIG_JSON",
                            help="drive the Figure-10 workflow from a pipeline "
                                 "spec: an inline PipelineSpec JSON document "

@@ -14,8 +14,6 @@ from .debugger import MissedPairReport, debug_blocker
 from .incremental import (
     AttrEquivalenceIncremental,
     IncrementalBlocking,
-    OverlapCoefficientIncremental,
-    OverlapIncremental,
     PendingUpsert,
     PostingIndex,
 )
@@ -34,11 +32,7 @@ from .overlap import OverlapBlocker
 from .overlap_coefficient import OverlapCoefficientBlocker
 from .policy import UNCAPPED, BlockSizePolicy, resolve_policy
 from .rule_based import RuleBasedBlocker
-from .sharded import (
-    ShardedOverlapBlocker,
-    ShardedOverlapCoefficientBlocker,
-    token_shard,
-)
+from .sharded import ShardedOverlapBlocker, ShardedOverlapCoefficientBlocker
 from .sorted_neighborhood import SortedNeighborhoodBlocker
 
 __all__ = [
@@ -55,8 +49,6 @@ __all__ = [
     "MissedPairReport",
     "OverlapBlocker",
     "OverlapCoefficientBlocker",
-    "OverlapCoefficientIncremental",
-    "OverlapIncremental",
     "OverlapReport",
     "Pair",
     "PendingUpsert",
@@ -73,7 +65,6 @@ __all__ = [
     "default_plan_configs",
     "register_blocker",
     "resolve_policy",
-    "token_shard",
     "debug_blocker",
     "dedupe_candidates",
     "down_sample",

@@ -12,12 +12,12 @@ similarity of lower-cased word tokens — the same cheap similarity
 MatchCatcher uses to surface survivors quickly. Candidate generation goes
 through an inverted index so the debugger never materialises A x B.
 
-When the kernel switch is on (default), tokenization goes through the
-shared :class:`~repro.runtime.cache.TokenCache` and Jaccard is computed
-over interned-id frozensets: the intersection/union counts are the same
+Tokenization goes through the shared
+:class:`~repro.runtime.cache.TokenCache` and Jaccard is computed over
+interned-id frozensets: the intersection/union counts are the same
 integers as over the string sets, so every score — and the ranking — is
-bit-identical, but the sets hash small ints instead of strings and warm
-runs skip tokenizing entirely.
+what string Jaccard gives, but the sets hash small ints instead of
+strings and warm runs skip tokenizing entirely.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from ..runtime.cache import get_default_cache
-from ..similarity import kernels
-from ..similarity.set_based import jaccard
-from ..table.column import is_missing
+from ..similarity.kernels import jaccard_id_sets
 from ..text.normalize import normalize_title
 from ..text.tokenizers import whitespace
 from .candidate_set import CandidateSet
@@ -45,23 +43,12 @@ class MissedPairReport:
     best_attrs: tuple[str, str]
 
 
-def _token_map(table, key: str, attr: str) -> dict[Any, frozenset[str]]:
-    out: dict[Any, frozenset[str]] = {}
-    for rid, value in zip(table[key], table[attr]):
-        if is_missing(value):
-            continue
-        tokens = frozenset(whitespace(str(normalize_title(value))))
-        if tokens:
-            out[rid] = tokens
-    return out
-
-
 def _token_id_map(table, key: str, attr: str) -> dict[Any, frozenset]:
-    """Kernel twin of :func:`_token_map`: interned-id frozensets per row.
+    """Interned-id frozensets per row.
 
-    The cache applies the very same recipe
-    (``frozenset(whitespace(str(normalize_title(cell))))``, missing and
-    empty cells dropped), then swaps each token for its vocabulary id.
+    The cache tokenizes with ``frozenset(whitespace(str(normalize_title(cell))))``
+    (missing and empty cells dropped), then swaps each token for its
+    vocabulary id.
     """
     entries = get_default_cache().token_ids_by_id(
         table, attr, key, whitespace, normalize_title
@@ -92,15 +79,9 @@ def debug_blocker(
 
     scored: dict[tuple[Any, Any], tuple[float, tuple[str, str]]] = {}
     for l_attr, r_attr in attr_pairs:
-        if kernels.kernels_enabled():
-            l_tokens = _token_id_map(ltable, l_key, l_attr)
-            r_tokens = _token_id_map(rtable, r_key, r_attr)
-            similarity = kernels.jaccard_id_sets
-        else:
-            l_tokens = _token_map(ltable, l_key, l_attr)
-            r_tokens = _token_map(rtable, r_key, r_attr)
-            similarity = jaccard
-        index: dict[str, list[Any]] = {}
+        l_tokens = _token_id_map(ltable, l_key, l_attr)
+        r_tokens = _token_id_map(rtable, r_key, r_attr)
+        index: dict[int, list[Any]] = {}
         for rid, tokens in r_tokens.items():
             for t in tokens:
                 index.setdefault(t, []).append(rid)
@@ -111,7 +92,7 @@ def debug_blocker(
             for rid in seen:
                 if (lid, rid) in in_c:
                     continue
-                score = similarity(tokens, r_tokens[rid])
+                score = jaccard_id_sets(tokens, r_tokens[rid])
                 key = (lid, rid)
                 if key not in scored or score > scored[key][0]:
                     scored[key] = (score, (l_attr, r_attr))

@@ -8,29 +8,24 @@ late-arriving records) executed as an index update rather than a rerun.
 
 A :class:`Blocker` that sets ``supports_incremental`` vends a
 :class:`IncrementalBlocking` handle via ``blocker.incremental(rtable,
-l_key, r_key)``. The handle freezes the *right* table into a
-:class:`PostingIndex` (token -> record-id postings over the interned
-vocabulary, rid lists in right-row order exactly like the batch path's
-inverted index) plus the right side's document frequencies, and then
-maintains, under ``upsert(records)`` / ``delete(ids)``:
-
-- a left :class:`PostingIndex` over the live left records' tokens (the
-  persistent structure that bounds the work of a future right-side update
-  and powers introspection/convergence checks),
-- per-record token entries, and
-- the kept pairs each live left record currently emits.
+l_key, r_key)``. The handle freezes the *right* table's index (for the
+token blockers: the batch layout's inverted index, rid lists in
+right-row order, plus the right side's document frequencies) and then
+maintains, under ``upsert(records)`` / ``delete(ids)``, each live left
+record's blocking state and the kept pairs it currently emits.
+``state_snapshot()`` renders the live left records as a canonical
+:class:`PostingIndex` on demand, for convergence checks.
 
 ``upsert`` is **replace** semantics per record id and emits only the
-*delta* pairs for the batch. Its probe replays the batch algorithm
-record-by-record — same tokenization recipe through the shared
-:class:`~repro.runtime.cache.TokenCache`, same global ``(doc_freq,
-token)`` prefix order, same ``seen``-set insertion sequence, and the same
-:mod:`repro.similarity.batch` keep-mask kernels — so the pairs an upsert
+*delta* pairs for the batch. The token handle runs the batch probe
+itself over the batch's records — same tokenization recipe through the
+shared :class:`~repro.runtime.cache.TokenCache`, same probe-list hook,
+same ``seen``-set insertion sequence, and the same
+:mod:`repro.similarity.batch` keep-mask kernel — so the pairs an upsert
 emits for a batch are **bit-identical** (values and order) to
-``blocker.block_tables(batch_table, rtable)``; the keep-mask kernels are
-per-element independent, so verifying one record's candidates at a time
-equals the batch path's whole-chunk call. ``tests/test_incremental.py``
-asserts this differentially, property-style.
+``blocker.block_tables(batch_table, rtable)``.
+``tests/test_incremental.py`` asserts this differentially,
+property-style.
 
 Fault tolerance splits mutation out of computation: ``preview(records)``
 computes a :class:`PendingUpsert` (new entries + delta pairs) without
@@ -48,8 +43,8 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..errors import IncrementalBlockingError
 from ..runtime.context import EngineSession, resolve_session
-from ..similarity import batch
 from ..table import Table
+from .overlap_family import probe_records, right_index
 
 Pair = tuple[Any, Any]
 
@@ -64,9 +59,8 @@ class PostingIndex:
     """token -> ordered record-id postings.
 
     Postings are insertion-ordered sets (``dict[rid, None]``): iteration
-    replays insertion order — for a right index built in right-row order
-    this matches the batch blockers' inverted-index lists exactly — while
-    ``remove`` stays O(tokens) per record instead of O(posting length).
+    replays insertion order, while ``remove`` stays O(tokens) per record
+    instead of O(posting length).
     """
 
     __slots__ = ("_postings",)
@@ -107,41 +101,6 @@ class PostingIndex:
     def tokens(self) -> Iterable[Any]:
         """All tokens with a non-empty posting."""
         return self._postings.keys()
-
-    @staticmethod
-    def shard_of(token: Any, shards: int) -> int:
-        """The token-hash range owning *token* under ``shards``-way sharding.
-
-        Delegates to :func:`repro.blocking.sharded.token_shard` — the same
-        splitmix64/FNV-1a partitioning the batch sharded blockers use —
-        so an incremental index split by ``shard_of`` holds exactly the
-        posting shard a batch worker would build for that range.
-        """
-        from .sharded import token_shard
-
-        return token_shard(token, shards)
-
-    def merge(self, other: "PostingIndex") -> "PostingIndex":
-        """Fold *other*'s postings into this index, in place.
-
-        Per token, *other*'s rids append after existing ones (duplicates
-        keep their first position, matching :meth:`add`'s idempotence).
-        Merging is associative, and for indexes holding **disjoint token
-        ranges** — the sharded layout — it is also order-independent up
-        to token insertion order, with snapshots exactly equal to the
-        single-index build (``tests/test_posting_shards.py``). Returns
-        ``self`` so shard folds chain.
-        """
-        postings = self._postings
-        for token, theirs in other._postings.items():
-            mine = postings.get(token)
-            if mine is None:
-                postings[token] = dict(theirs)
-            else:
-                for rid in theirs:
-                    if rid not in mine:
-                        mine[rid] = None
-        return self
 
     def snapshot(self, token_of: Callable[[Any], Any] | None = None) -> dict[Any, tuple]:
         """Canonical, history-independent view: ``{token: sorted rids}``.
@@ -281,16 +240,21 @@ class IncrementalBlocking:
 
 
 class _TokenIncrementalBlocking(IncrementalBlocking):
-    """Shared machinery for the token-overlap family.
+    """Delta handle for the overlap-family blockers
+    (:mod:`repro.blocking.overlap_family`).
 
-    Freezes the right table's interned entries, posting index and document
-    frequencies at construction; tokenizes upsert batches through the same
-    :meth:`~repro.runtime.cache.TokenCache.token_ids_by_id` recipe the
-    batch path uses (rows whose cell is missing or tokenizes to nothing
-    are dropped, i.e. committing them clears previous state). The interned
-    id path is used regardless of the session's kernel switch: both batch
-    paths emit identical pairs by construction (PR 6 invariant), and the
-    keep-mask kernels are plain functions with no switch of their own.
+    Freezes the right table's inverted index and document frequencies at
+    construction, built by the batch layout's own
+    :func:`~repro.blocking.overlap_family.right_index`. An upsert batch is
+    tokenized through the same
+    :meth:`~repro.runtime.cache.TokenCache.token_ids_by_id` recipe (rows
+    whose cell is missing or tokenizes to nothing are dropped, i.e.
+    committing them clears previous state), cut into probe lists by the
+    blocker's hook and probed by the shared
+    :func:`~repro.blocking.overlap_family.probe_records`. The overlap
+    blocker ranks only the batch's vocabulary, but its ``(doc_freq,
+    token)`` key is a total order, so every record's prefix comes out as
+    in a whole-table run.
     """
 
     def __init__(
@@ -311,121 +275,54 @@ class _TokenIncrementalBlocking(IncrementalBlocking):
         r_entries = self._cache.token_ids_by_id(
             rtable, blocker.r_attr, r_key, blocker.tokenizer, blocker.normalizer
         )
-        self._r_entries = r_entries
-        # Right postings in right-row order — iteration over each posting
-        # replays the batch path's inverted-index rid lists exactly.
-        self.right_index = PostingIndex()
-        for rid, entry in r_entries.items():
-            self.right_index.add(rid, entry.sorted)
-        self._doc_freq: dict[int, int] = {}
-        for entry in r_entries.values():
-            for tid in entry.sorted:
-                self._doc_freq[tid] = self._doc_freq.get(tid, 0) + 1
-        #: The maintained left posting index (token id -> live lids).
-        self.left_index = PostingIndex()
+        self._index, self._doc_freq = right_index(r_entries)
+        self._r_sets = {rid: entry.ids for rid, entry in r_entries.items()}
         self._entries: dict[Any, Any] = {}
-
-    def _tokenize_batch(self, table: Table) -> dict[Any, Any]:
-        blocker = self.blocker
-        return self._cache.token_ids_by_id(
-            table, blocker.l_attr, self.l_key, blocker.tokenizer, blocker.normalizer
-        )
-
-    def _kept_rids(self, entry: Any) -> tuple[Any, ...]:
-        """One record's surviving rids, in batch-path emission order."""
-        raise NotImplementedError
 
     def preview(self, records: "Table | Sequence[Mapping[str, Any]]") -> PendingUpsert:
         table = self._as_table(records)
         if table is None:
             return PendingUpsert((), {}, {}, ())
         self._validate_batch(table)
-        l_entries = self._tokenize_batch(table)
-        pairs: dict[Any, tuple[Any, ...]] = {}
-        delta: list[Pair] = []
-        for lid, entry in l_entries.items():
-            kept = self._kept_rids(entry)
-            pairs[lid] = kept
-            delta.extend((lid, rid) for rid in kept)
+        blocker = self.blocker
+        cache = self._cache
+        l_entries = cache.token_ids_by_id(
+            table, blocker.l_attr, self.l_key, blocker.tokenizer, blocker.normalizer
+        )
+        lids, probes, entries = blocker._left_probes(
+            l_entries, self._doc_freq, frozenset(), cache.vocabulary.token_of, None
+        )
+        delta = probe_records(
+            lids,
+            probes,
+            [entry.ids for entry in entries],
+            self._r_sets,
+            self._index,
+            blocker._keep_mask,
+            blocker.threshold,
+        )
+        kept: dict[Any, list[Any]] = {lid: [] for lid in l_entries}
+        for lid, rid in delta:
+            kept[lid].append(rid)
+        pairs = {lid: tuple(rids) for lid, rids in kept.items()}
         return PendingUpsert(tuple(table[self.l_key]), dict(l_entries), pairs, tuple(delta))
 
     def _install(self, lid: Any, state: Any, kept: tuple[Any, ...]) -> None:
         self._entries[lid] = state
-        self.left_index.add(lid, state.sorted)
         self._pairs[lid] = tuple(kept)
 
     def _discard(self, lid: Any) -> tuple[Any, ...]:
-        entry = self._entries.pop(lid, None)
-        if entry is not None:
-            self.left_index.remove(lid, entry.sorted)
+        self._entries.pop(lid, None)
         return self._pairs.pop(lid, ())
 
     def state_snapshot(self) -> dict[str, Any]:
-        token_of = self._cache.vocabulary.token_of
+        index = PostingIndex()
+        for lid, entry in self._entries.items():
+            index.add(lid, entry.sorted)
         return {
-            "index": self.left_index.snapshot(token_of),
+            "index": index.snapshot(self._cache.vocabulary.token_of),
             "pairs": self.pair_state(),
         }
-
-
-class OverlapIncremental(_TokenIncrementalBlocking):
-    """Delta handle for :class:`~repro.blocking.overlap.OverlapBlocker`.
-
-    Per record: sort tokens by the global ``(doc_freq, token)`` key — the
-    batch path sorts by a rank built over the *batch's* vocabulary, but
-    rank order is exactly this key's order restricted to those tokens, so
-    sorting by the key directly yields the same sequence — cut the
-    ``len - k + 1`` prefix, probe the right postings, verify candidates
-    with one :func:`~repro.similarity.batch.overlap_at_least_batch` call.
-    """
-
-    def _kept_rids(self, entry: Any) -> tuple[Any, ...]:
-        k = self.blocker.threshold
-        ids = entry.sorted
-        if len(ids) < k:
-            return ()
-        doc_freq = self._doc_freq
-        token_of = self._cache.vocabulary.token_of
-        ordered = sorted(ids, key=lambda tid: (doc_freq.get(tid, 0), token_of(tid)))
-        seen: set[Any] = set()
-        for tid in ordered[: len(ordered) - k + 1]:
-            for rid in self.right_index.postings(tid):
-                seen.add(rid)
-        if not seen:
-            return ()
-        cand = list(seen)
-        r_entries = self._r_entries
-        keep = batch.overlap_at_least_batch(
-            [entry.ids] * len(cand), [r_entries[rid].ids for rid in cand], k
-        )
-        return tuple(rid for rid, kept in zip(cand, keep) if kept)
-
-
-class OverlapCoefficientIncremental(_TokenIncrementalBlocking):
-    """Delta handle for
-    :class:`~repro.blocking.overlap_coefficient.OverlapCoefficientBlocker`.
-
-    Probes every token in the entry's cached ``probe`` order (the parent
-    frozenset's iteration order — the same sequence the batch path ships
-    to workers), then verifies with one
-    :func:`~repro.similarity.batch.overlap_coefficient_at_least_batch` call.
-    """
-
-    def _kept_rids(self, entry: Any) -> tuple[Any, ...]:
-        seen: set[Any] = set()
-        for tid in entry.probe:
-            for rid in self.right_index.postings(tid):
-                seen.add(rid)
-        if not seen:
-            return ()
-        cand = list(seen)
-        r_entries = self._r_entries
-        keep = batch.overlap_coefficient_at_least_batch(
-            [entry.ids] * len(cand),
-            [r_entries[rid].ids for rid in cand],
-            self.blocker.threshold,
-        )
-        return tuple(rid for rid, kept in zip(cand, keep) if kept)
 
 
 class AttrEquivalenceIncremental(IncrementalBlocking):

@@ -55,9 +55,19 @@ from ..text.tokenizers import Tokenizer, whitespace
 from .base import Blocker
 from .candidate_set import CandidateSet
 from .policy import BlockSizePolicy, capped_keys, resolve_policy
-from .sharded import _splitmix64, _splitmix64_np
+from .sharded import _splitmix64_np
 
 Normalizer = Callable[[Any], Any]
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    """Scalar :func:`~repro.blocking.sharded._splitmix64_np`, for seeds."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
 
 #: Rows hashed per vectorized signature pass — bounds the temporaries to
 #: a few hundred MB at the widest default configuration.
@@ -78,7 +88,7 @@ def _csr_arrays(entries: "list[Any]") -> tuple["np.ndarray", "np.ndarray"]:
 
 def _perm_salts(seed: int, num_perms: int) -> "np.ndarray":
     """One splitmix64-derived salt per MinHash permutation."""
-    base = _splitmix64(seed & ((1 << 64) - 1))
+    base = _splitmix64(seed & _MASK64)
     salts = np.empty(num_perms, dtype=np.uint64)
     x = np.uint64(base)
     for i in range(num_perms):
@@ -130,7 +140,7 @@ def _simhash_signatures(
     """One 64-bit simhash per CSR row: sign of the per-bit ±1 vote sums."""
     n = len(offsets) - 1
     out = np.empty(n, dtype=np.uint64)
-    salt = np.uint64(_splitmix64(seed & ((1 << 64) - 1)) | 1)
+    salt = np.uint64(_splitmix64(seed & _MASK64) | 1)
     for start in range(0, n, _SIG_CHUNK):
         stop = min(start + _SIG_CHUNK, n)
         lo, hi = offsets[start], offsets[stop]

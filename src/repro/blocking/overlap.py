@@ -6,130 +6,29 @@ right table's tokens plus a *prefix filter*: a record pair can share K
 tokens only if they agree on at least one of any (|tokens| - K + 1)-subset,
 so each left record only probes the index with its first
 ``len(tokens) - k + 1`` tokens under a global token ordering. Shared-token
-counts are then verified exactly.
+counts are then verified exactly
+(:func:`~repro.similarity.batch.overlap_at_least_batch`).
 
-Tokenization goes through the shared :mod:`~repro.runtime.cache` (one pass
-per ``(attr, tokenizer, normalizer)`` recipe per table). When the kernel
-switch (:func:`~repro.similarity.kernels.kernels_enabled`) is on — the
-default — the probe runs over interned token ids shipped as columnar
-:class:`~repro.runtime.columnar.TokenColumn` chunks, and candidate
-verification is one batch keep-mask call
-(:func:`~repro.similarity.batch.overlap_at_least_batch`) per chunk;
-otherwise it runs the legacy ``frozenset[str]`` loop. Both paths emit
-the *same pairs in the same order*: the global token ordering
-``(doc_freq, token)`` is a total order computed once per run (not per
-record), the inverted-index rid lists are built in the same right-row
-order, the per-record ``seen`` sets receive the same rid objects in the
-same sequence, and the keep-mask filters the ordered candidate list in
-place.
-
-The probe loop is chunk-parallel over left records when the resolved
-:class:`~repro.runtime.context.EngineSession` has ``workers >= 2`` (or a
-shared :class:`~repro.runtime.executor.WorkerPool`) — with results
-identical to the serial loop, which remains the default.
+The global ordering is ``(doc_freq, token)``, rarest first, so the prefix
+probes the most selective tokens; it is a total order, ranked once per
+run rather than per record. Tokenization, indexing, capping and the
+chunk-parallel probe are shared with the coefficient blocker in
+:mod:`repro.blocking.overlap_family`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
-from ..errors import BlockingError, IncrementalBlockingError
-from ..runtime.columnar import TokenColumn
-from ..runtime.context import EngineSession
-from ..runtime.executor import chunk_ranges
-from ..runtime.instrument import count, stage
+from ..errors import BlockingError
 from ..similarity import batch
-from ..table import Table
 from ..text.intern import id_array
 from ..text.tokenizers import Tokenizer, whitespace
-from .base import Blocker
-from .candidate_set import CandidateSet
-from .policy import BlockSizePolicy, capped_keys, resolve_policy
-
-Normalizer = Callable[[Any], Any]
+from .overlap_family import Normalizer, TokenBlocker
+from .policy import BlockSizePolicy
 
 
-def _probe_overlap_chunk(
-    l_items: list[tuple[Any, frozenset[str]]],
-    r_tokens: dict[Any, frozenset[str]],
-    index: dict[str, list[Any]],
-    order: dict[str, int],
-    k: int,
-    capped: frozenset = frozenset(),
-) -> list[tuple[Any, Any]]:
-    """Probe the inverted index for a chunk of left records (string path).
-
-    Module-level (and closure-free) so the chunked executor can ship it to
-    worker processes; the serial path runs the very same function. *order*
-    is the global token rank under ``(doc_freq, token)`` — a total order,
-    so ranking sorts exactly like the tuple key did, but without
-    re-deriving it per record. *capped* holds tokens whose posting lists
-    exceed the blocker's size cap: dropped from the probe prefix (after
-    the cut, so the cut itself is policy-independent), never from
-    verification.
-    """
-    rank = order.__getitem__
-    pairs: list[tuple[Any, Any]] = []
-    for lid, tokens in l_items:
-        if len(tokens) < k:
-            continue
-        ordered = sorted(tokens, key=rank)
-        prefix = ordered[: len(ordered) - k + 1]
-        if capped:
-            prefix = [t for t in prefix if t not in capped]
-        seen: set[Any] = set()
-        for t in prefix:
-            for rid in index.get(t, ()):
-                seen.add(rid)
-        for rid in seen:
-            if len(tokens & r_tokens[rid]) >= k:
-                pairs.append((lid, rid))
-    return pairs
-
-
-def _probe_overlap_ids_chunk(
-    lids: list[Any],
-    prefixes: list[Any],
-    l_col: TokenColumn,
-    rids: tuple[Any, ...],
-    r_col: TokenColumn,
-    index: dict[int, list[Any]],
-    k: int,
-) -> list[tuple[Any, Any]]:
-    """Kernel twin of :func:`_probe_overlap_chunk` over columnar chunks.
-
-    Workers receive whole columns — the chunk's left ids, per-record
-    ``array('i')`` prefixes cut under the global order (computed once in
-    the parent), and both sides' token sets as
-    :class:`~repro.runtime.columnar.TokenColumn` CSR buffers — instead of
-    per-record tuples of frozensets. Candidate generation walks the
-    inverted index exactly like the string path; verification is one
-    :func:`~repro.similarity.batch.overlap_at_least_batch` call over the
-    chunk's whole candidate list. Emission order matches the string path
-    because the prefix order, the index rid lists, and hence each
-    ``seen`` set's insertion sequence are all identical, and the batch
-    keep-mask filters the ordered candidate list in place.
-    """
-    l_sets = l_col.sets()
-    r_map = dict(zip(rids, r_col.sets()))
-    cand_pairs: list[tuple[Any, Any]] = []
-    cand_a: list[Any] = []
-    cand_b: list[Any] = []
-    for i, lid in enumerate(lids):
-        a = l_sets[i]
-        seen: set[Any] = set()
-        for tid in prefixes[i]:
-            for rid in index.get(tid, ()):
-                seen.add(rid)
-        for rid in seen:
-            cand_pairs.append((lid, rid))
-            cand_a.append(a)
-            cand_b.append(r_map[rid])
-    keep = batch.overlap_at_least_batch(cand_a, cand_b, k)
-    return [pair for pair, kept in zip(cand_pairs, keep) if kept]
-
-
-class OverlapBlocker(Blocker):
+class OverlapBlocker(TokenBlocker):
     """Token-overlap blocker.
 
     Parameters
@@ -150,7 +49,7 @@ class OverlapBlocker(Blocker):
     """
 
     short_name = "overlap"
-    supports_incremental = True
+    _keep_mask = staticmethod(batch.overlap_at_least_batch)
 
     def __init__(
         self,
@@ -164,196 +63,26 @@ class OverlapBlocker(Blocker):
     ) -> None:
         if threshold < 1:
             raise BlockingError(f"overlap threshold must be >= 1, got {threshold}")
-        self.l_attr = l_attr
-        self.r_attr = r_attr
-        self.threshold = threshold
-        self.tokenizer = tokenizer
-        self.normalizer = normalizer
-        self.block_size_policy = resolve_policy(block_size_policy)
+        super().__init__(l_attr, r_attr, threshold, tokenizer, normalizer, block_size_policy)
 
-    def incremental(
+    def _probe_lists(
         self,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-        *,
-        session: EngineSession | None = None,
-    ) -> "Any":
-        """Delta-maintained handle; see :mod:`repro.blocking.incremental`."""
-        if self.block_size_policy.capped:
-            raise IncrementalBlockingError(
-                "incremental blocking does not support block-size caps; "
-                "use an uncapped blocker for delta handles"
-            )
-        from .incremental import OverlapIncremental
-
-        return OverlapIncremental(self, rtable, l_key, r_key, session=session)
-
-    def _compute_blocking(
-        self,
-        session: EngineSession,
-        ltable: Table,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-        name: str,
-    ) -> CandidateSet:
-        self._validate_inputs(
-            ltable, rtable, l_key, r_key, [(ltable, self.l_attr), (rtable, self.r_attr)]
-        )
-        if session.kernels_enabled():
-            pairs = self._block_ids(session, ltable, rtable, l_key, r_key)
-        else:
-            pairs = self._block_strings(session, ltable, rtable, l_key, r_key)
-        return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)
-
-    def _block_strings(
-        self,
-        session: EngineSession,
-        ltable: Table,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-    ) -> list[tuple[Any, Any]]:
-        instrumentation = session.instrumentation
-        cache = session.token_cache
-        hits_before = cache.hits
-        with stage(instrumentation, "tokenize"):
-            l_tokens = cache.tokens_by_id(
-                ltable, self.l_attr, l_key, self.tokenizer, self.normalizer
-            )
-            r_tokens = cache.tokens_by_id(
-                rtable, self.r_attr, r_key, self.tokenizer, self.normalizer
-            )
-            count(instrumentation, "l_records", len(l_tokens))
-            count(instrumentation, "r_records", len(r_tokens))
-            count(instrumentation, "cache_hits", cache.hits - hits_before)
-        # Global token order by document frequency (rarest first) makes the
-        # prefix filter probe the most selective tokens. (doc_freq, token)
-        # is a total order, so ranking once here and sorting records by
-        # rank reproduces the per-record tuple sort exactly.
-        with stage(instrumentation, "index"):
-            doc_freq: dict[str, int] = {}
-            for tokens in r_tokens.values():
-                for t in tokens:
-                    doc_freq[t] = doc_freq.get(t, 0) + 1
-            index: dict[str, list[Any]] = {}
-            for rid, tokens in r_tokens.items():
-                for t in tokens:
-                    index.setdefault(t, []).append(rid)
-            left_vocab = set()
-            for tokens in l_tokens.values():
-                left_vocab.update(tokens)
-            order = {
-                t: i
-                for i, t in enumerate(
-                    sorted(left_vocab, key=lambda t: (doc_freq.get(t, 0), t))
-                )
-            }
-            capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
-        with stage(instrumentation, "probe"):
-            l_items = list(l_tokens.items())
-            ranges = chunk_ranges(len(l_items), session.workers)
-            chunks = session.map_chunks(
-                _probe_overlap_chunk,
-                [
-                    (
-                        l_items[start:stop],
-                        r_tokens,
-                        index,
-                        order,
-                        self.threshold,
-                        capped,
-                    )
-                    for start, stop in ranges
-                ],
-                sizes=[stop - start for start, stop in ranges],
-            )
-            pairs = [pair for chunk in chunks for pair in chunk]
-            count(instrumentation, "pairs_out", len(pairs))
-        return pairs
-
-    def _block_ids(
-        self,
-        session: EngineSession,
-        ltable: Table,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-    ) -> list[tuple[Any, Any]]:
-        instrumentation = session.instrumentation
-        cache = session.token_cache
-        hits_before = cache.hits
+        entries: Sequence[Any],
+        doc_freq: Mapping[int, int],
+        token_of: Callable[[int], str],
+    ) -> list[Any]:
+        """The rank-ordered ``len - k + 1`` prefix of each record with at
+        least k tokens."""
         k = self.threshold
-        with stage(instrumentation, "tokenize"):
-            l_entries = cache.token_ids_by_id(
-                ltable, self.l_attr, l_key, self.tokenizer, self.normalizer
-            )
-            r_entries = cache.token_ids_by_id(
-                rtable, self.r_attr, r_key, self.tokenizer, self.normalizer
-            )
-            count(instrumentation, "l_records", len(l_entries))
-            count(instrumentation, "r_records", len(r_entries))
-            count(instrumentation, "cache_hits", cache.hits - hits_before)
-        with stage(instrumentation, "index"):
-            doc_freq: dict[int, int] = {}
-            for entry in r_entries.values():
-                for tid in entry.sorted:
-                    doc_freq[tid] = doc_freq.get(tid, 0) + 1
-            index: dict[int, list[Any]] = {}
-            # Outer loop in right-row order keeps every per-token rid list
-            # in the same order the string path builds it.
-            for rid, entry in r_entries.items():
-                for tid in entry.sorted:
-                    index.setdefault(tid, []).append(rid)
-            token_of = cache.vocabulary.token_of
-            left_vocab = {tid for entry in l_entries.values() for tid in entry.sorted}
-            rank = {
-                tid: i
-                for i, tid in enumerate(
-                    sorted(
-                        left_vocab,
-                        key=lambda tid: (doc_freq.get(tid, 0), token_of(tid)),
-                    )
-                )
-            }
-            capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
-        with stage(instrumentation, "probe"):
-            by_rank = rank.__getitem__
-            lids: list[Any] = []
-            prefixes: list[Any] = []
-            kept_entries: list[Any] = []
-            for lid, entry in l_entries.items():
-                ids = entry.sorted
-                if len(ids) < k:
-                    continue
-                ordered = sorted(ids, key=by_rank)
-                prefix = ordered[: len(ordered) - k + 1]
-                if capped:
-                    prefix = [t for t in prefix if t not in capped]
-                lids.append(lid)
-                prefixes.append(id_array(prefix))
-                kept_entries.append(entry)
-            l_col = TokenColumn.from_entries(kept_entries)
-            rids = tuple(r_entries.keys())
-            r_col = TokenColumn.from_entries(r_entries.values())
-            ranges = chunk_ranges(len(lids), session.workers)
-            chunks = session.map_chunks(
-                _probe_overlap_ids_chunk,
-                [
-                    (
-                        lids[start:stop],
-                        prefixes[start:stop],
-                        l_col.slice(start, stop),
-                        rids,
-                        r_col,
-                        index,
-                        k,
-                    )
-                    for start, stop in ranges
-                ],
-                sizes=[stop - start for start, stop in ranges],
-            )
-            pairs = [pair for chunk in chunks for pair in chunk]
-            count(instrumentation, "pairs_out", len(pairs))
-        return pairs
+        vocab = {tid for entry in entries for tid in entry.sorted}
+        ranked = sorted(vocab, key=lambda tid: (doc_freq.get(tid, 0), token_of(tid)))
+        by_rank = {tid: i for i, tid in enumerate(ranked)}.__getitem__
+        probes: list[Any] = []
+        for entry in entries:
+            ids = entry.sorted
+            if len(ids) < k:
+                probes.append(None)
+                continue
+            ordered = sorted(ids, key=by_rank)
+            probes.append(id_array(ordered[: len(ordered) - k + 1]))
+        return probes

@@ -3,126 +3,31 @@
 Section 7 step 3 adds this blocker (word tokens, threshold 0.7) because the
 raw overlap blocker's K=3 floor silently drops similar titles shorter than
 three tokens. Candidates are generated from an inverted index (any
-surviving pair must share at least one token when t > 0); shared-token
-counts are verified exactly against the size-aware bound
-``ceil(t * min(|X|,|Y|))`` before the coefficient itself is checked.
+surviving pair must share at least one token when t > 0), so each left
+record probes with every token; shared-token counts are verified exactly
+against the size-aware bound ``ceil(t * min(|X|,|Y|))`` before the
+coefficient itself is checked
+(:func:`~repro.similarity.batch.overlap_coefficient_at_least_batch`).
 
-Like :class:`~repro.blocking.overlap.OverlapBlocker`, tokenization is
-memoized through the shared runtime cache; when the kernel switch is on
-(default) the probe runs over interned ids shipped as columnar
-:class:`~repro.runtime.columnar.TokenColumn` chunks with one batch
-keep-mask call (:func:`~repro.similarity.batch.overlap_coefficient_at_least_batch`)
-verifying each chunk's ordered candidate list, and over the legacy
-``frozenset[str]`` sets otherwise; the probe loop chunks over left
-records when ``workers >= 2`` — identical results on every path. Both
-paths probe each left record's tokens in the *iteration order of the
-parent's frozenset*, materialized in the parent before chunks ship (the
-kernel path via :class:`~repro.runtime.cache.InternedTokens.probe`, the
-string path via a token list): an unpickled frozenset may iterate in a
-different order than the original, and the per-record ``seen`` insertion
-sequence — and therefore pair emission order — must stay bit-identical
-to the serial loop.
+Each record probes in the *iteration order of its cached frozenset*,
+replayed by :attr:`~repro.runtime.cache.InternedTokens.probe` so that
+worker chunks see the parent's order. Tokenization, indexing, capping and
+the chunk-parallel probe are shared with the overlap blocker in
+:mod:`repro.blocking.overlap_family`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable
+from typing import Any, Callable, Mapping, Sequence
 
-from ..errors import BlockingError, IncrementalBlockingError
-from ..runtime.columnar import TokenColumn
-from ..runtime.context import EngineSession
-from ..runtime.executor import chunk_ranges
-from ..runtime.instrument import count, stage
+from ..errors import BlockingError
 from ..similarity import batch
-from ..similarity.set_based import overlap_coefficient
-from ..table import Table
-from ..text.intern import id_array
 from ..text.tokenizers import Tokenizer, whitespace
-from .base import Blocker
-from .candidate_set import CandidateSet
-from .policy import BlockSizePolicy, capped_keys, resolve_policy
-
-Normalizer = Callable[[Any], Any]
+from .overlap_family import Normalizer, TokenBlocker
+from .policy import BlockSizePolicy
 
 
-def _probe_coefficient_chunk(
-    l_items: list[tuple[Any, list[str], frozenset[str]]],
-    r_tokens: dict[Any, frozenset[str]],
-    index: dict[str, list[Any]],
-    threshold: float,
-) -> list[tuple[Any, Any]]:
-    """Candidate generation + exact verification for a chunk of left records
-    (module-level so worker processes can run it; serial uses it too).
-
-    ``l_items`` carries ``(lid, probe, tokens)`` where *probe* is the
-    token list materialized **in the parent**, in the parent frozenset's
-    iteration order. Workers must probe from the list, not the frozenset:
-    a frozenset rebuilt by unpickling can iterate in a different order
-    than the original (reinsertion may land a different hash-table
-    layout), which would reorder ``seen`` — and with it the emitted pairs
-    — relative to the serial run. Lists round-trip order exactly.
-    """
-    pairs: list[tuple[Any, Any]] = []
-    for lid, probe, tokens in l_items:
-        # Any pair reaching the threshold shares >= 1 token, so probing
-        # every left token is a safe (and simple) candidate generator.
-        seen: set[Any] = set()
-        for tok in probe:
-            for rid in index.get(tok, ()):
-                seen.add(rid)
-        for rid in seen:
-            rtoks = r_tokens[rid]
-            needed = math.ceil(threshold * min(len(tokens), len(rtoks)) - 1e-9)
-            if len(tokens & rtoks) < needed:
-                continue
-            if overlap_coefficient(tokens, rtoks) >= threshold - 1e-12:
-                pairs.append((lid, rid))
-    return pairs
-
-
-def _probe_coefficient_ids_chunk(
-    lids: list[Any],
-    probes: list[Any],
-    l_col: TokenColumn,
-    rids: tuple[Any, ...],
-    r_col: TokenColumn,
-    index: dict[int, list[Any]],
-    threshold: float,
-) -> list[tuple[Any, Any]]:
-    """Kernel twin of :func:`_probe_coefficient_chunk` over columnar chunks.
-
-    Workers receive whole columns — the chunk's left ids, per-record
-    ``probe`` arrays replaying each cached frozenset's iteration order
-    (materialized in the parent; see the module docstring), and both
-    sides' token sets as :class:`~repro.runtime.columnar.TokenColumn`
-    CSR buffers. Candidate generation walks the inverted index exactly
-    like the string path; verification is one
-    :func:`~repro.similarity.batch.overlap_coefficient_at_least_batch`
-    call over the chunk's whole candidate list — the same size-aware
-    count bound and coefficient comparisons over the same integers, with
-    the keep-mask filtering the ordered candidate list in place.
-    """
-    l_sets = l_col.sets()
-    r_map = dict(zip(rids, r_col.sets()))
-    cand_pairs: list[tuple[Any, Any]] = []
-    cand_a: list[Any] = []
-    cand_b: list[Any] = []
-    for i, lid in enumerate(lids):
-        a = l_sets[i]
-        seen: set[Any] = set()
-        for tid in probes[i]:
-            for rid in index.get(tid, ()):
-                seen.add(rid)
-        for rid in seen:
-            cand_pairs.append((lid, rid))
-            cand_a.append(a)
-            cand_b.append(r_map[rid])
-    keep = batch.overlap_coefficient_at_least_batch(cand_a, cand_b, threshold)
-    return [pair for pair, kept in zip(cand_pairs, keep) if kept]
-
-
-class OverlapCoefficientBlocker(Blocker):
+class OverlapCoefficientBlocker(TokenBlocker):
     """Overlap-coefficient blocker.
 
     Parameters mirror :class:`~repro.blocking.overlap.OverlapBlocker`,
@@ -130,7 +35,7 @@ class OverlapCoefficientBlocker(Blocker):
     """
 
     short_name = "overlap_coeff"
-    supports_incremental = True
+    _keep_mask = staticmethod(batch.overlap_coefficient_at_least_batch)
 
     def __init__(
         self,
@@ -146,164 +51,13 @@ class OverlapCoefficientBlocker(Blocker):
             raise BlockingError(
                 f"overlap-coefficient threshold must be in (0,1], got {threshold}"
             )
-        self.l_attr = l_attr
-        self.r_attr = r_attr
-        self.threshold = threshold
-        self.tokenizer = tokenizer
-        self.normalizer = normalizer
-        self.block_size_policy = resolve_policy(block_size_policy)
+        super().__init__(l_attr, r_attr, threshold, tokenizer, normalizer, block_size_policy)
 
-    def incremental(
+    def _probe_lists(
         self,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-        *,
-        session: EngineSession | None = None,
-    ) -> "Any":
-        """Delta-maintained handle; see :mod:`repro.blocking.incremental`."""
-        if self.block_size_policy.capped:
-            raise IncrementalBlockingError(
-                "incremental blocking does not support block-size caps; "
-                "use an uncapped blocker for delta handles"
-            )
-        from .incremental import OverlapCoefficientIncremental
-
-        return OverlapCoefficientIncremental(self, rtable, l_key, r_key, session=session)
-
-    def _compute_blocking(
-        self,
-        session: EngineSession,
-        ltable: Table,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-        name: str,
-    ) -> CandidateSet:
-        self._validate_inputs(
-            ltable, rtable, l_key, r_key, [(ltable, self.l_attr), (rtable, self.r_attr)]
-        )
-        if session.kernels_enabled():
-            pairs = self._block_ids(session, ltable, rtable, l_key, r_key)
-        else:
-            pairs = self._block_strings(session, ltable, rtable, l_key, r_key)
-        return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)
-
-    def _block_strings(
-        self,
-        session: EngineSession,
-        ltable: Table,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-    ) -> list[tuple[Any, Any]]:
-        instrumentation = session.instrumentation
-        cache = session.token_cache
-        hits_before = cache.hits
-        with stage(instrumentation, "tokenize"):
-            l_tokens = cache.tokens_by_id(
-                ltable, self.l_attr, l_key, self.tokenizer, self.normalizer
-            )
-            r_tokens = cache.tokens_by_id(
-                rtable, self.r_attr, r_key, self.tokenizer, self.normalizer
-            )
-            count(instrumentation, "l_records", len(l_tokens))
-            count(instrumentation, "r_records", len(r_tokens))
-            count(instrumentation, "cache_hits", cache.hits - hits_before)
-        with stage(instrumentation, "index"):
-            index: dict[str, list[Any]] = {}
-            for rid, tokens in r_tokens.items():
-                for t in tokens:
-                    index.setdefault(t, []).append(rid)
-            capped = capped_keys(
-                {t: len(rids_) for t, rids_ in index.items()},
-                self.block_size_policy,
-                instrumentation,
-            )
-        with stage(instrumentation, "probe"):
-            # Probe lists replay the parent frozenset's iteration order;
-            # the cap filter preserves it (filters, never reorders).
-            l_items = [
-                (
-                    lid,
-                    [t for t in tokens if t not in capped] if capped else list(tokens),
-                    tokens,
-                )
-                for lid, tokens in l_tokens.items()
-            ]
-            ranges = chunk_ranges(len(l_items), session.workers)
-            chunks = session.map_chunks(
-                _probe_coefficient_chunk,
-                [
-                    (l_items[start:stop], r_tokens, index, self.threshold)
-                    for start, stop in ranges
-                ],
-                sizes=[stop - start for start, stop in ranges],
-            )
-            pairs = [pair for chunk in chunks for pair in chunk]
-            count(instrumentation, "pairs_out", len(pairs))
-        return pairs
-
-    def _block_ids(
-        self,
-        session: EngineSession,
-        ltable: Table,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-    ) -> list[tuple[Any, Any]]:
-        instrumentation = session.instrumentation
-        cache = session.token_cache
-        hits_before = cache.hits
-        with stage(instrumentation, "tokenize"):
-            l_entries = cache.token_ids_by_id(
-                ltable, self.l_attr, l_key, self.tokenizer, self.normalizer
-            )
-            r_entries = cache.token_ids_by_id(
-                rtable, self.r_attr, r_key, self.tokenizer, self.normalizer
-            )
-            count(instrumentation, "l_records", len(l_entries))
-            count(instrumentation, "r_records", len(r_entries))
-            count(instrumentation, "cache_hits", cache.hits - hits_before)
-        with stage(instrumentation, "index"):
-            index: dict[int, list[Any]] = {}
-            for rid, entry in r_entries.items():
-                for tid in entry.sorted:
-                    index.setdefault(tid, []).append(rid)
-            capped = capped_keys(
-                {tid: len(rids_) for tid, rids_ in index.items()},
-                self.block_size_policy,
-                instrumentation,
-            )
-        with stage(instrumentation, "probe"):
-            lids = list(l_entries.keys())
-            if capped:
-                probes = [
-                    id_array(t for t in entry.probe if t not in capped)
-                    for entry in l_entries.values()
-                ]
-            else:
-                probes = [entry.probe for entry in l_entries.values()]
-            l_col = TokenColumn.from_entries(l_entries.values())
-            rids = tuple(r_entries.keys())
-            r_col = TokenColumn.from_entries(r_entries.values())
-            ranges = chunk_ranges(len(lids), session.workers)
-            chunks = session.map_chunks(
-                _probe_coefficient_ids_chunk,
-                [
-                    (
-                        lids[start:stop],
-                        probes[start:stop],
-                        l_col.slice(start, stop),
-                        rids,
-                        r_col,
-                        index,
-                        self.threshold,
-                    )
-                    for start, stop in ranges
-                ],
-                sizes=[stop - start for start, stop in ranges],
-            )
-            pairs = [pair for chunk in chunks for pair in chunk]
-            count(instrumentation, "pairs_out", len(pairs))
-        return pairs
+        entries: Sequence[Any],
+        doc_freq: Mapping[int, int],
+        token_of: Callable[[int], str],
+    ) -> list[Any]:
+        """Every token of every record, in cached frozenset order."""
+        return [entry.probe for entry in entries]

@@ -19,8 +19,9 @@ and every golden snapshot bit-identical. When a cap is set the blocker
   block is scored exactly as before;
 * reports what it skipped through the session instrumentation as
   ``capped_blocks`` (distinct oversized blocks) and ``capped_postings``
-  (index entries those blocks held), which the :mod:`repro.obs` metrics
-  collector rolls up like any other stage counter.
+  (index entries those blocks held), plus, for the token blockers,
+  ``capped_records`` (left records left with nothing to probe), which the
+  :mod:`repro.obs` metrics collector rolls up like any other stage counter.
 
 Capping decisions are made on *complete* block sizes (the whole posting
 list / join group), so the sharded and unsharded execution paths — where

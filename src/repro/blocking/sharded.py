@@ -7,7 +7,7 @@ RSS, and pickling it per chunk dominates wall clock. This module turns the
 layout inside out — **shard the postings, not the records**:
 
 * the token-id space is partitioned into ``shards`` disjoint ranges by a
-  64-bit token hash (:func:`token_shard`; splitmix64, from scratch);
+  64-bit splitmix64 hash of the token id (:func:`_owner_table`);
 * each worker receives only *its* range's slice of the probe positions and
   posting entries — five integer arrays, pre-partitioned in the parent
   with one vectorized pass over the
@@ -22,7 +22,9 @@ layout inside out — **shard the postings, not the records**:
   prefix position, then verifying claims with one batch keep-mask kernel
   call over the parent's zero-copy token columns.
 
-Bit-identity with the unsharded path is a hard contract, asserted
+The probe tokens and the keep-mask come from the blocker's own hooks
+(:mod:`repro.blocking.overlap_family`); only the execution layout
+differs. Bit-identity with the batch layout is a hard contract, asserted
 property-style in ``tests/test_sharded_blocking.py``. Three invariants
 carry it:
 
@@ -35,7 +37,7 @@ carry it:
    (:class:`~repro.blocking.policy.BlockSizePolicy`) are applied to
    complete posting lists in the parent — before the split — so both
    paths skip identical blocks.
-2. **Same order.** The unsharded path emits each left record's pairs in
+2. **Same order.** The batch layout emits each left record's pairs in
    the *iteration order of its ``seen`` set*, which is a function of the
    distinct-insertion sequence (rid objects inserted at first hit, probe
    positions in prefix order, posting lists in right-row order) —
@@ -43,22 +45,22 @@ carry it:
    replays exactly that distinct-insertion sequence into a fresh set per
    record, so the rebuilt set iterates identically.
 3. **Same verification.** The keep-mask kernels are per-element, so
-   verifying the merged claim list in the parent equals the unsharded
-   path's per-chunk batch calls.
+   verifying the merged claim list in the parent equals the batch
+   layout's per-chunk calls.
 
 The serial fallback is the same worker function run inline by
 ``session.map_chunks`` — bit-identical by construction, not by test.
 
-When the session's kernel switch is off the sharded classes defer to
-their parents' string path (sharding is an interned-id layout; the
-legacy ``frozenset[str]`` loop has nothing to shard), which is itself
-bit-identical to the kernel path by the PR-6 contract.
+Sharding stays a layout of its own rather than the batch path's
+one-shard case: one shard still pays the partition and merge passes,
+which made it slower than the batch layout at case-study scale (numbers
+in ``docs/blocking.md``).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -66,15 +68,11 @@ from ..errors import BlockingError
 from ..runtime.columnar import TokenColumn
 from ..runtime.context import EngineSession
 from ..runtime.instrument import count, stage
-from ..similarity import batch
 from ..text.intern import ID_TYPECODE
 from .overlap import OverlapBlocker
 from .overlap_coefficient import OverlapCoefficientBlocker
-from .policy import resolve_policy
-
-_MASK64 = (1 << 64) - 1
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+from .overlap_family import Pair
+from .policy import capped_keys
 
 #: Default shard count — sized for the 4-worker pool the benchmarks use
 #: (2 shards per worker keeps the pool busy when ranges are skewed).
@@ -83,53 +81,20 @@ DEFAULT_SHARDS = 8
 MAX_SHARDS = 64
 
 
-def _splitmix64(x: int) -> int:
-    """The splitmix64 finalizer (public-domain constants), pure Python."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _splitmix64_np(x: "np.ndarray") -> "np.ndarray":
-    """Vectorized :func:`_splitmix64` over a ``uint64`` array."""
+    """The splitmix64 finalizer (public-domain constants) over ``uint64``."""
     x = (x + np.uint64(0x9E3779B97F4A7C15))
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
 
 
-def hash64(token: Any) -> int:
-    """A stable 64-bit hash for shard assignment.
-
-    Interned token ids go through splitmix64; strings through FNV-1a over
-    their UTF-8 bytes (so :meth:`PostingIndex.shard_of` gives the same
-    ranges for string-keyed indexes across processes — unlike builtin
-    ``hash``, this does not depend on ``PYTHONHASHSEED``). Shard
-    assignment only decides *where* a posting list lives, never what is
-    emitted, so the two domains hashing differently is harmless.
-    """
-    if isinstance(token, int) and not isinstance(token, bool):
-        return _splitmix64(token & _MASK64)
-    data = token.encode("utf-8") if isinstance(token, str) else repr(token).encode()
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
-
-
-def token_shard(token: Any, shards: int) -> int:
-    """The shard (hash range) owning *token*, in ``[0, shards)``."""
-    if shards <= 1:
-        return 0
-    return hash64(token) % shards
-
-
 def _owner_table(max_id: int, shards: int) -> "np.ndarray":
-    """``owner[tid] == token_shard(tid, shards)`` for every id ``<= max_id``.
+    """``owner[tid]``: the shard owning token id *tid*, for every id
+    ``<= max_id`` (splitmix64 of the id, modulo *shards*).
 
-    One vectorized splitmix64 pass over the dense id space; token ids are
-    small dense ints so the table is tiny relative to the CSR buffers.
+    One vectorized pass over the dense id space; token ids are small
+    dense ints so the table is tiny relative to the CSR buffers.
     """
     ids = np.arange(max_id + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -211,9 +176,9 @@ def _merge_shard_deltas(
     rids: tuple[Any, ...],
     l_col: TokenColumn,
     r_col: TokenColumn,
-    verify_kind: str,
-    verify_param: Any,
-) -> list[tuple[Any, Any]]:
+    keep_mask: Callable,
+    threshold: Any,
+) -> list[Pair]:
     """Merge shard hit-deltas into ``block_tables``'s emission order.
 
     Groups — one per probed ``(record, position)`` with hits, unique
@@ -224,7 +189,7 @@ def _merge_shard_deltas(
     and is dropped here). The claimed candidates are verified with one
     batch keep-mask call over the parent's zero-copy token columns, and
     each record's claimed rids are re-inserted into a fresh set in claim
-    order. That replays the unsharded ``seen`` set's distinct-insertion
+    order. That replays the batch layout's ``seen`` set distinct-insertion
     sequence exactly (duplicate ``add`` calls are no-ops there too), so
     iterating the rebuilt set emits the same pairs in the same order.
     """
@@ -278,12 +243,9 @@ def _merge_shard_deltas(
         for row in rows:
             cand_a.append(a)
             cand_b.append(r_sets[row])
-    if verify_kind == "overlap":
-        keep = batch.overlap_at_least_batch(cand_a, cand_b, verify_param)
-    else:
-        keep = batch.overlap_coefficient_at_least_batch(cand_a, cand_b, verify_param)
+    keep = keep_mask(cand_a, cand_b, threshold)
 
-    pairs: list[tuple[Any, Any]] = []
+    pairs: list[Pair] = []
     i = 0
     for rec, rows in rec_rows:
         lid = lids[rec]
@@ -300,84 +262,56 @@ def _merge_shard_deltas(
     return pairs
 
 
-class _ShardedTokenBlocker:
-    """Mixin carrying the sharded id-path driver (both token blockers)."""
+def _validate_shards(shards: int) -> int:
+    if not 1 <= shards <= MAX_SHARDS:
+        raise BlockingError(f"shards must be in [1, {MAX_SHARDS}], got {shards}")
+    return shards
+
+
+class _ShardedLayout:
+    """Mixin replacing a token blocker's batch probe with the shard layout."""
 
     shards: int
 
-    def _validate_shards(self, shards: int) -> int:
-        if not 1 <= shards <= MAX_SHARDS:
-            raise BlockingError(
-                f"shards must be in [1, {MAX_SHARDS}], got {shards}"
-            )
-        return shards
-
-    def _sharded_block_ids(
+    def _probe(
         self,
         session: EngineSession,
-        ltable: Any,
-        rtable: Any,
-        l_key: str,
-        r_key: str,
-        verify_kind: str,
-        verify_param: Any,
-    ) -> list[tuple[Any, Any]]:
+        l_entries: dict[Any, Any],
+        r_entries: dict[Any, Any],
+    ) -> list[Pair]:
         instrumentation = session.instrumentation
-        cache = session.token_cache
-        hits_before = cache.hits
-        policy = resolve_policy(getattr(self, "block_size_policy", None))
-        with stage(instrumentation, "tokenize"):
-            l_entries = cache.token_ids_by_id(
-                ltable, self.l_attr, l_key, self.tokenizer, self.normalizer
-            )
-            r_entries = cache.token_ids_by_id(
-                rtable, self.r_attr, r_key, self.tokenizer, self.normalizer
-            )
-            count(instrumentation, "l_records", len(l_entries))
-            count(instrumentation, "r_records", len(r_entries))
-            count(instrumentation, "cache_hits", cache.hits - hits_before)
         with stage(instrumentation, "index"):
-            rids = tuple(r_entries.keys())
+            rids = tuple(r_entries)
             r_col = TokenColumn.from_entries(r_entries.values())
             r_offsets, r_data, _ = r_col.csr()
             r_flat = _np_i32(r_data)
-            max_tid = int(r_flat.max()) if len(r_flat) else -1
-            # Exact doc-freq twin of the dict the unsharded path builds:
-            # each right record contributes each of its ids once (CSR rows
-            # are the records' sorted unique ids).
-            lids, prefixes, kept_entries, doc_freq, max_tid = self._cut_prefixes(
-                l_entries, r_flat, max_tid, cache
+            # CSR rows are the records' sorted unique ids, so the id counts
+            # are the document frequencies the batch layout's index holds.
+            freq = np.bincount(r_flat) if len(r_flat) else np.zeros(0, dtype=np.int64)
+            present = np.flatnonzero(freq)
+            doc_freq = dict(zip(present.tolist(), freq[present].tolist()))
+            capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
+            lids, probes, entries = self._left_probes(
+                l_entries,
+                doc_freq,
+                capped,
+                session.token_cache.vocabulary.token_of,
+                instrumentation,
             )
-            capped = None
-            if policy.capped:
-                cap = policy.max_block_size
-                oversized = doc_freq > cap
-                count(instrumentation, "capped_blocks", int(oversized.sum()))
-                count(
-                    instrumentation,
-                    "capped_postings",
-                    int(doc_freq[oversized].sum()),
-                )
-                capped = oversized
-                prefixes = [
-                    array(ID_TYPECODE, (t for t in p if not oversized[t]))
-                    for p in prefixes
-                ]
         if not lids:
             count(instrumentation, "pairs_out", 0)
             return []
         with stage(instrumentation, "shard"):
             shards = self.shards
-            l_col = TokenColumn.from_entries(kept_entries)
+            l_col = TokenColumn.from_entries(entries)
             prefix_offsets = array(ID_TYPECODE, [0])
             prefix_data = array(ID_TYPECODE)
-            for p in prefixes:
+            for p in probes:
                 prefix_data.extend(p)
                 prefix_offsets.append(len(prefix_data))
             pf = _np_i32(prefix_data)
-            if len(pf):
-                max_tid = max(max_tid, int(pf.max()))
-            owner = _owner_table(max(max_tid, 0), shards)
+            max_tid = max(len(freq) - 1, int(pf.max()) if len(pf) else 0, 0)
+            owner = _owner_table(max_tid, shards)
             off_np = _np_i32(prefix_offsets).astype(np.int64)
             seg_lens = np.diff(off_np)
             probe_rec = np.repeat(
@@ -396,8 +330,10 @@ class _ShardedTokenBlocker:
                 np.arange(len(rids), dtype=np.int32), np.diff(r_off_np)
             )
             post_keep = np.ones(len(r_flat), dtype=bool)
-            if capped is not None and len(r_flat):
-                post_keep = ~capped[r_flat]
+            if capped:
+                oversized = np.zeros(max_tid + 1, dtype=bool)
+                oversized[np.fromiter(capped, dtype=np.int64)] = True
+                post_keep = ~oversized[r_flat]
             r_owner = owner[r_flat] if len(r_flat) else np.empty(0, dtype=np.uint8)
             payloads = []
             sizes = []
@@ -419,28 +355,13 @@ class _ShardedTokenBlocker:
             results = session.map_chunks(_shard_probe, payloads, sizes=sizes)
         with stage(instrumentation, "merge"):
             pairs = _merge_shard_deltas(
-                results, lids, rids, l_col, r_col, verify_kind, verify_param
+                results, lids, rids, l_col, r_col, self._keep_mask, self.threshold
             )
             count(instrumentation, "pairs_out", len(pairs))
         return pairs
 
-    def _cut_prefixes(
-        self,
-        l_entries: dict[Any, Any],
-        r_flat: "np.ndarray",
-        max_tid: int,
-        cache: Any,
-    ) -> tuple[list[Any], list[Any], list[Any], "np.ndarray", int]:
-        """(lids, per-record probe arrays, kept entries, doc_freq, max id).
 
-        Implemented per subclass: the overlap blocker cuts rank-ordered
-        prefixes, the coefficient blocker probes whole ``probe`` arrays.
-        ``doc_freq`` is dense over ``[0, max id]`` for cap decisions.
-        """
-        raise NotImplementedError
-
-
-class ShardedOverlapBlocker(_ShardedTokenBlocker, OverlapBlocker):
+class ShardedOverlapBlocker(_ShardedLayout, OverlapBlocker):
     """:class:`~repro.blocking.overlap.OverlapBlocker`, sharded.
 
     Emits bit-identical pairs (values and order); only the execution
@@ -476,67 +397,13 @@ class ShardedOverlapBlocker(_ShardedTokenBlocker, OverlapBlocker):
             block_size_policy=block_size_policy,
             **kwargs,
         )
-        self.shards = self._validate_shards(shards)
-
-    def _block_ids(self, session, ltable, rtable, l_key, r_key):
-        return self._sharded_block_ids(
-            session, ltable, rtable, l_key, r_key, "overlap", self.threshold
-        )
-
-    def _cut_prefixes(self, l_entries, r_flat, max_tid, cache):
-        k = self.threshold
-        minlength = max_tid + 1
-        l_max = 0
-        for entry in l_entries.values():
-            if len(entry.sorted):
-                tail = entry.sorted[-1]  # sorted unique: last is the max
-                if tail >= l_max:
-                    l_max = tail + 1
-        minlength = max(minlength, l_max)
-        doc_freq = (
-            np.bincount(r_flat, minlength=minlength)
-            if len(r_flat)
-            else np.zeros(max(minlength, 1), dtype=np.int64)
-        )
-        # Global (doc_freq, token) rank via one lexsort. Ranking over the
-        # whole left vocabulary is order-isomorphic to the unsharded
-        # path's rank (the key is a total order independent of which
-        # tokens participate), so every per-record sort comes out equal.
-        lf_parts = [
-            np.frombuffer(e.sorted, dtype=np.int32)
-            for e in l_entries.values()
-            if len(e.sorted)
-        ]
-        if lf_parts:
-            vocab = np.unique(np.concatenate(lf_parts))
-        else:
-            vocab = np.empty(0, dtype=np.int32)
-        token_of = cache.vocabulary.token_of
-        tokens = np.array([token_of(int(t)) for t in vocab], dtype=object)
-        freqs = doc_freq[vocab] if len(vocab) else np.empty(0, dtype=np.int64)
-        order = np.lexsort((tokens, freqs)) if len(vocab) else np.empty(0, dtype=np.int64)
-        rank = {int(t): i for i, t in enumerate(vocab[order])}
-        by_rank = rank.__getitem__
-        lids: list[Any] = []
-        prefixes: list[Any] = []
-        kept_entries: list[Any] = []
-        for lid, entry in l_entries.items():
-            ids = entry.sorted
-            if len(ids) < k:
-                continue
-            ordered = sorted(ids, key=by_rank)
-            lids.append(lid)
-            prefixes.append(array(ID_TYPECODE, ordered[: len(ordered) - k + 1]))
-            kept_entries.append(entry)
-        return lids, prefixes, kept_entries, doc_freq, minlength - 1
+        self.shards = _validate_shards(shards)
 
 
-class ShardedOverlapCoefficientBlocker(_ShardedTokenBlocker, OverlapCoefficientBlocker):
+class ShardedOverlapCoefficientBlocker(_ShardedLayout, OverlapCoefficientBlocker):
     """:class:`~repro.blocking.overlap_coefficient.OverlapCoefficientBlocker`,
     sharded. Same parameters and bit-identity contract as
-    :class:`ShardedOverlapBlocker`; the probe side is each record's whole
-    ``probe`` array (parent-frozenset iteration order), like the base
-    blocker.
+    :class:`ShardedOverlapBlocker`.
     """
 
     short_name = "sharded_overlap_coeff"
@@ -561,26 +428,4 @@ class ShardedOverlapCoefficientBlocker(_ShardedTokenBlocker, OverlapCoefficientB
             block_size_policy=block_size_policy,
             **kwargs,
         )
-        self.shards = self._validate_shards(shards)
-
-    def _block_ids(self, session, ltable, rtable, l_key, r_key):
-        return self._sharded_block_ids(
-            session, ltable, rtable, l_key, r_key, "coefficient", self.threshold
-        )
-
-    def _cut_prefixes(self, l_entries, r_flat, max_tid, cache):
-        minlength = max_tid + 1
-        for entry in l_entries.values():
-            if len(entry.sorted):
-                tail = entry.sorted[-1]
-                if tail >= minlength:
-                    minlength = tail + 1
-        doc_freq = (
-            np.bincount(r_flat, minlength=minlength)
-            if len(r_flat)
-            else np.zeros(max(minlength, 1), dtype=np.int64)
-        )
-        lids = list(l_entries.keys())
-        prefixes = [entry.probe for entry in l_entries.values()]
-        kept_entries = list(l_entries.values())
-        return lids, prefixes, kept_entries, doc_freq, minlength - 1
+        self.shards = _validate_shards(shards)

@@ -6,9 +6,8 @@ missing. The companion :class:`FeatureMatrix` keeps the pair ids and
 feature names aligned with the rows/columns, which the debugging tools
 need to point back at records.
 
-Extraction is the Section-9 hot path (n pairs x d features Python calls).
-When the kernel switch (:func:`~repro.similarity.kernels.kernels_enabled`)
-is on — the default — extraction runs *columnar over interned ids*:
+Extraction is the Section-9 hot path (n pairs x d features). It runs
+*columnar over interned ids*:
 
 * token set measures (``jac``/``cos``/``dice``/``overlap_coeff``) are
   gathered into :class:`~repro.runtime.columnar.TokenColumn` chunk
@@ -23,21 +22,21 @@ is on — the default — extraction runs *columnar over interned ids*:
   distinct ``(left value, right value)`` pair — cell values repeat
   heavily across candidate pairs.
 
-All of it produces cell-for-cell identical matrices to the legacy
-row-dict loop (the kernels mirror the reference float expressions, and
-memoization only caches pure functions), which the bit-identity tests
-assert.
+All of it produces cell-for-cell the matrix a row-dict loop of
+``feature.from_rows`` calls gives (the kernels mirror the reference float
+expressions, and memoization only caches pure functions), which the
+parity tests assert against the loop kept in ``tests/blocking_reference.py``.
 
 ``extract_feature_vectors`` resolves an
 :class:`~repro.runtime.context.EngineSession` (ambient, or built from the
 deprecated ``workers=``/``pool=`` shims) and spreads contiguous
-pair-index chunks over the session's process pool;
-kernel chunks ship compact id arrays, legacy chunks rebuild feature
-functions from their :attr:`~repro.features.feature.Feature.spec` recipes
-(the closures themselves do not pickle). Features without a spec (custom
-black-box features) force the serial path, which is also the fallback
-whenever the pool cannot run. Parallel results are identical to serial
-ones: same chunk code, concatenated in pair order.
+pair-index chunks over the session's process pool; chunks ship compact
+id arrays, and workers rebuild value-feature functions from their
+:attr:`~repro.features.feature.Feature.spec` recipes (the closures
+themselves do not pickle). Features without a spec (custom black-box
+features) force the serial path, which is also the fallback whenever the
+pool cannot run. Parallel results are identical to serial ones: same
+chunk code, concatenated in pair order.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from ..runtime.columnar import TokenColumn, gather_column
 from ..runtime.context import EngineSession, resolve_session
 from ..runtime.executor import WorkerPool, chunk_ranges
 from ..runtime.instrument import Instrumentation, count, stage
-from ..similarity import batch, kernels
+from ..similarity import batch
 from ..similarity.sequence import jaro_winkler
 from .feature import NAN, Feature, feature_from_spec
 from .generate import FeatureSet
@@ -111,22 +110,6 @@ class FeatureMatrix:
             imputer.fit(self.values)
         filled = imputer.transform(self.values)
         return FeatureMatrix(list(self.pairs), list(self.feature_names), filled)
-
-
-def _extract_chunk(
-    row_pairs: list[tuple[dict[str, Any], dict[str, Any]]],
-    specs: list[tuple],
-) -> np.ndarray:
-    """Compute the sub-matrix for a chunk of record pairs (legacy path).
-
-    Runs in worker processes: *specs* are rebuilt into live features there.
-    """
-    features = [feature_from_spec(spec) for spec in specs]
-    values = np.empty((len(row_pairs), len(features)))
-    for i, (l_row, r_row) in enumerate(row_pairs):
-        for j, feature in enumerate(features):
-            values[i, j] = feature.from_rows(l_row, r_row)
-    return values
 
 
 def _monge_elkan_ids(
@@ -331,36 +314,24 @@ def _extract_impl(
     pairs = [tuple(p) for p in pairs]
     n, d = len(pairs), len(feature_set)
     features = list(feature_set)
-    specs = [f.spec for f in features]
     parallel_ok = (
         (workers > 1 or (pool is not None and pool.active))
         and n > 1
-        and all(spec is not None for spec in specs)
+        and all(f.spec is not None for f in features)
     )
     with stage(instrumentation, "extract_features"):
         count(instrumentation, "pairs", n)
         count(instrumentation, "cells", n * d)
-        if session.kernels_enabled():
-            columns, token_map = _kernel_columns(
-                candidates, pairs, features, session.token_cache
+        columns, token_map = _kernel_columns(
+            candidates, pairs, features, session.token_cache
+        )
+        functions = [f.function for f in features]
+        if parallel_ok:
+            values = _extract_kernel_parallel(
+                columns, token_map, n, d, workers, instrumentation, pool, functions
             )
-            if parallel_ok:
-                values = _extract_kernel_parallel(
-                    columns, token_map, n, d, workers, instrumentation, pool,
-                    [f.function for f in features],
-                )
-            else:
-                values = _extract_kernel_chunk(
-                    n, columns, token_map, [f.function for f in features]
-                )
-        elif parallel_ok:
-            values = _extract_parallel(candidates, pairs, specs, d, session)
         else:
-            values = np.empty((n, d))
-            for i, pair in enumerate(pairs):
-                l_row, r_row = candidates.record_pair(pair)
-                for j, feature in enumerate(features):
-                    values[i, j] = feature.from_rows(l_row, r_row)
+            values = _extract_kernel_chunk(n, columns, token_map, functions)
     return FeatureMatrix(pairs=pairs, feature_names=feature_set.names, values=values)
 
 
@@ -426,24 +397,3 @@ def _extract_kernel_parallel(
         )
     return values
 
-
-def _extract_parallel(
-    candidates: CandidateSet,
-    pairs: list[Pair],
-    specs: list[tuple],
-    d: int,
-    session: EngineSession,
-) -> np.ndarray:
-    workers = session.workers
-    pool = session.worker_pool
-    ranges = chunk_ranges(len(pairs), workers if workers > 1 else (pool.workers if pool else 1))
-    payloads = []
-    for start, stop in ranges:
-        row_pairs = [candidates.record_pair(pair) for pair in pairs[start:stop]]
-        payloads.append((row_pairs, specs))
-    blocks = session.map_chunks(
-        _extract_chunk, payloads, sizes=[stop - start for start, stop in ranges]
-    )
-    if not blocks:
-        return np.empty((0, d))
-    return np.vstack(blocks)

@@ -2,8 +2,8 @@
 
 The unifying entry point is :mod:`~repro.runtime.context` — an
 :class:`~repro.runtime.context.EngineSession` owns the pool, token
-cache, artifact store, instrumentation, metrics, provenance policy,
-kernels switch and seed, and `session.run_stage` is the single
+cache, artifact store, instrumentation, metrics, provenance policy
+and seed, and `session.run_stage` is the single
 store/trace/provenance glue path every stage operator runs through.
 
 Underneath it, three small pieces, all opt-in:

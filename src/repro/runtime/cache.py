@@ -10,8 +10,8 @@ distinct recipe no matter how many blockers ask.
 On top of the string token sets the cache also owns a
 :class:`~repro.text.intern.Vocabulary` and memoizes *interned* columns —
 per-row sorted ``array('i')`` id arrays (and bag-order variants for
-hybrid measures) — which is what the integer kernels in
-:mod:`repro.similarity.kernels` consume. A column is therefore tokenized
+hybrid measures) — which is what the token blockers and the batch
+kernels in :mod:`repro.similarity.batch` consume. A column is therefore tokenized
 once per recipe and interned once per recipe, no matter how many
 blockers and features ask.
 
@@ -54,11 +54,11 @@ def lowercase(value: Any) -> str:
 class InternedTokens:
     """One cell's interned token set.
 
-    ``sorted`` is the merge-kernel representation (sorted unique ids);
+    ``sorted`` holds the sorted unique ids (the CSR wire form);
     ``probe`` preserves the *iteration order of the underlying frozenset*,
-    which is what the legacy overlap-coefficient probe loop iterates —
-    replaying the same order keeps candidate emission bit-identical
-    between the kernel and string paths. ``ids`` holds the same ids as a
+    which is the order the overlap-coefficient blocker probes in — an
+    explicit array, so worker chunks replay the parent's order exactly.
+    ``ids`` holds the same ids as a
     ``frozenset[int]`` for the blockers' verification step: CPython's
     C-level set intersection over small ints beats any Python-level merge
     loop, and the counts it yields are the same integers.
@@ -213,28 +213,6 @@ class TokenCache:
         per_table[key] = column
         return column
 
-    def tokens_by_id(
-        self,
-        table: Table,
-        attr: str,
-        key_col: str,
-        tokenizer: Tokenizer,
-        normalizer: Normalizer | None = None,
-    ) -> dict[Any, frozenset[str]]:
-        """``{record id: token set}`` for non-missing, non-empty cells.
-
-        This is exactly the ``_tokens_by_id`` contract the overlap blockers
-        had before caching: rows whose value is missing or tokenizes to
-        nothing are absent. A fresh dict is built per call (callers may
-        mutate it); only the underlying column tokens are shared.
-        """
-        tokens = self.column_tokens(table, attr, tokenizer, normalizer)
-        return {
-            rid: toks
-            for rid, toks in zip(table[key_col], tokens)
-            if toks  # drops None and empty token sets alike
-        }
-
     def token_ids_by_id(
         self,
         table: Table,
@@ -243,8 +221,12 @@ class TokenCache:
         tokenizer: Tokenizer,
         normalizer: Normalizer | None = None,
     ) -> dict[Any, InternedTokens]:
-        """``{record id: interned tokens}`` — the id twin of
-        :meth:`tokens_by_id` (same rows dropped, same dict order)."""
+        """``{record id: interned tokens}`` for non-missing, non-empty cells.
+
+        Rows whose value is missing or tokenizes to nothing are absent;
+        dict order is row order. A fresh dict is built per call (callers
+        may mutate it); only the underlying entries are shared.
+        """
         entries = self.column_token_ids(table, attr, tokenizer, normalizer)
         return {
             rid: entry

@@ -1,7 +1,7 @@
 """One execution context for the whole pipeline: :class:`EngineSession`.
 
 The runtime capabilities grew one PR at a time — worker pools, the
-artifact store, tracing/metrics/provenance, the kernel switch — and each
+artifact store, tracing/metrics/provenance — and each
 arrived as another optional keyword argument threaded through blockers,
 ``extract_feature_vectors``, :class:`~repro.core.workflow.EMWorkflow` and
 the case-study entry points. Real EM is iterative (the paper's Section-10
@@ -14,7 +14,7 @@ An :class:`EngineSession` is the one object that owns them:
   shut down on exit — including on exceptions);
 * the :class:`~repro.runtime.cache.TokenCache`;
 * the artifact store, instrumentation handle, metrics registry,
-  provenance switch, kernels switch and seed.
+  provenance switch and seed.
 
 Sessions install themselves as the ambient default via a
 :mod:`contextvars` variable, so callers write::
@@ -144,10 +144,6 @@ class EngineSession:
         ``True`` (each workflow run builds its own collector), or a
         :class:`~repro.obs.provenance.MatchProvenance` collector shared
         by every run in the session.
-    kernels:
-        Interned-kernel switch override for the session's scope: ``None``
-        defers to the process default (``REPRO_KERNELS``), ``True`` /
-        ``False`` force it.
     seed:
         The session's random seed (CLI and case-study default).
     resources:
@@ -175,7 +171,6 @@ class EngineSession:
         trace_path: Any = None,
         metrics: Any = None,
         provenance: Any = False,
-        kernels: bool | None = None,
         seed: int = DEFAULT_SEED,
         resources: bool = False,
         pool: WorkerPool | None = None,
@@ -185,7 +180,6 @@ class EngineSession:
         self.store = store
         self.metrics = metrics
         self.provenance = provenance
-        self.kernels = kernels
         self.seed = seed
         self.token_cache = token_cache if token_cache is not None else get_default_cache()
         self._injected_pool = pool
@@ -242,19 +236,6 @@ class EngineSession:
             return self._owned_pool
         return None
 
-    def kernels_enabled(self) -> bool:
-        """The session's interned-kernel switch.
-
-        ``kernels=True/False`` forces it for every stage in the session;
-        ``None`` defers to the process default (``REPRO_KERNELS`` /
-        :func:`~repro.similarity.kernels.use_kernels`).
-        """
-        if self.kernels is not None:
-            return bool(self.kernels)
-        from ..similarity.kernels import process_kernels_default
-
-        return process_kernels_default()
-
     def executor(self) -> ChunkedExecutor:
         """A chunk mapper wired to this session's pool and telemetry."""
         return ChunkedExecutor(
@@ -307,7 +288,6 @@ class EngineSession:
             instrumentation=overrides.get("instrumentation", self.instrumentation),
             metrics=overrides.get("metrics", self.metrics),
             provenance=overrides.get("provenance", self.provenance),
-            kernels=overrides.get("kernels", self.kernels),
             seed=overrides.get("seed", self.seed),
             pool=overrides.get("pool", self.worker_pool),
             token_cache=overrides.get("token_cache", self.token_cache),
@@ -377,8 +357,6 @@ class EngineSession:
             bits.append("store")
         if self.instrumentation is not None:
             bits.append("traced")
-        if self.kernels is not None:
-            bits.append(f"kernels={self.kernels}")
         return f"EngineSession({', '.join(bits)})"
 
 

@@ -1,12 +1,9 @@
 """Batch-columnar similarity kernels: score whole candidate chunks.
 
-The per-pair merge-array kernels shipped with the interned-id substrate
-turned out to be a measured performance bug: on qgm_3 tokens they are
-*slower* than both the id-frozenset kernels and the plain string
-references (0.40-0.86x, ``benchmarks/out/kernels.json``), because the
-per-pair Python call and two-pointer loop overhead dominates the integer
-merges. The fix is to change the hot-loop *shape*, not the arithmetic:
-one kernel call scores an entire chunk.
+Per-pair kernels pay one Python call per candidate, and on short
+tokens (qgm_3) that overhead dominates the arithmetic. These kernels
+change the hot-loop *shape*, not the arithmetic: one kernel call scores
+an entire chunk.
 
 Every ``*_batch`` kernel takes two parallel columns — a
 :class:`~repro.runtime.columnar.TokenColumn` (CSR offsets + flat
@@ -17,8 +14,8 @@ memory) or any aligned sequence of id frozensets — and returns one
 arithmetic, with no per-pair Python call, no per-pair allocation beyond
 the intersection CPython builds natively, and the output written into a
 single preallocated buffer. Benchmarked against the alternatives
-(per-pair id-frozenset calls, per-pair merges, a vectorized
-sort-by-key CSR intersection), this shape is the only one that beats the
+(per-pair id-frozenset calls, per-pair two-pointer merges over sorted id
+arrays, a vectorized sort-by-key CSR intersection), this shape is the only one that beats the
 id-frozenset family on qgm_3 while staying ahead on ws — see
 ``docs/performance.md`` for the numbers that drove the decision.
 
@@ -41,8 +38,8 @@ edit-distance DP, reusing two row buffers across the whole chunk instead
 of allocating fresh rows per pair.
 
 The blocker verification predicates (:func:`overlap_at_least_batch`,
-:func:`overlap_coefficient_at_least_batch`) are the chunk twins of the
-per-candidate checks in the overlap blockers; they return a
+:func:`overlap_coefficient_at_least_batch`) are the overlap-family
+blockers' keep-masks (:mod:`repro.blocking.overlap_family`); they return a
 ``bytearray`` keep-mask so the caller can filter an ordered candidate
 list without perturbing emission order.
 """
@@ -60,8 +57,7 @@ NAN = float("nan")
 #: Kernel families that are actually routed on the default path; the
 #: bench and the CI guard (``tools/check_kernel_families.py``) assert
 #: every family listed here beats the string references on both
-#: case-study tokenizations. The per-pair merge-array family is *not*
-#: deployed (see :mod:`repro.similarity.kernels`).
+#: case-study tokenizations.
 DEPLOYED_FAMILIES = ("set", "batch", "levenshtein")
 
 
@@ -228,11 +224,11 @@ def overlap_coefficient_at_least_batch(
 ) -> bytearray:
     """Coefficient-threshold keep-mask for the overlap-coefficient blocker.
 
-    Mirrors the per-candidate verification both blocker paths perform:
-    the size-aware count bound ``ceil(threshold * min(|A|, |B|) - 1e-9)``
-    first, then the surviving ``inter / min(|A|, |B|)`` coefficient
-    against ``threshold - 1e-12`` — the same two comparisons over the
-    same integers, so the kept candidates are identical.
+    Checks the size-aware count bound
+    ``ceil(threshold * min(|A|, |B|) - 1e-9)`` first, then the surviving
+    ``inter / min(|A|, |B|)`` coefficient against ``threshold - 1e-12`` —
+    the two comparisons the string-set reference makes, over the same
+    integers, so the kept candidates are identical.
     """
     sa, sb = _paired(col_a, col_b)
     ceil = math.ceil

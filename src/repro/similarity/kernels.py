@@ -1,161 +1,31 @@
-"""Integer-id similarity kernels for interned token arrays.
+"""Integer-id similarity kernels for interned token sets.
 
 The set-based measures in :mod:`repro.similarity.set_based` hash strings on
 every call. These kernels compute the very same values over *interned*
-token sets — sorted, duplicate-free ``array('i')``/sequence-of-int ids from
-a :class:`~repro.text.intern.Vocabulary` — with merge-based intersection
-(two pointers over sorted arrays, integer comparisons only).
+token sets — ``frozenset[int]`` views of the ids a
+:class:`~repro.text.intern.Vocabulary` assigns — where CPython's C set
+intersection runs over identity-hashed small ints. A threshold-banded
+Levenshtein rounds out the module.
 
 Contracts, enforced by the parity tests in ``tests/test_kernels.py``:
 
-* every ``*_ids`` kernel returns **bit-identical floats** to its string
-  reference on the id arrays of the same token sets (the division and
-  multiplication orders mirror ``set_based.py`` expression for
+* every ``*_id_sets`` kernel returns **bit-identical floats** to its
+  string reference on the id sets of the same token sets (the division
+  and multiplication orders mirror ``set_based.py`` expression for
   expression);
 * results depend only on id *consistency*, never on id values, so any
   vocabulary produces the same numbers;
-* the bounded variants may stop early but only ever on branches whose
+* the bounded Levenshtein may stop early but only ever on branches whose
   outcome is already decided.
 
-The module-level switch (:func:`kernels_enabled` / :func:`use_kernels`)
-is how the pipeline selects between the kernel and legacy string paths;
-both produce identical outputs, which is what lets the golden snapshot
-and the bit-identity tests compare them pair-for-pair.
-
-Deployment note: the per-pair merge-array measures (``jaccard_ids`` and
-friends) are **not** routed anywhere. They regressed below the string
-references on qgm_3 tokens (0.40-0.86x, ``benchmarks/out/kernels.json``)
-because per-pair Python call overhead dominates the integer merges; the
-deployed hot paths are the id-frozenset kernels below and the
-chunk-level batch kernels in :mod:`repro.similarity.batch`. The merge
-functions stay as parity/bench references — see ``docs/performance.md``
-for the retirement decision and numbers.
+The hot loops (blocker verification, feature extraction) route through
+the chunk-level batch kernels in :mod:`repro.similarity.batch`, which
+use the same arithmetic with the per-pair call overhead amortized away.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
-from typing import Iterator, Sequence
-
-IntArray = Sequence[int]
-
-# --------------------------------------------------------------------------
-# kernel switch
-# --------------------------------------------------------------------------
-
-_env = os.environ.get("REPRO_KERNELS", "1").strip().lower()
-_ENABLED = _env not in ("0", "false", "no", "off")
-
-
-def process_kernels_default() -> bool:
-    """The process-wide switch state, ignoring any ambient session.
-
-    ``REPRO_KERNELS=0`` starts with the legacy string paths;
-    :func:`use_kernels` toggles temporarily (the parity tests run both
-    paths in one process this way).
-    """
-    return _ENABLED
-
-
-def kernels_enabled() -> bool:
-    """Whether the interned-id fast paths are active (default: yes).
-
-    An ambient :class:`~repro.runtime.context.EngineSession` with
-    ``kernels=True/False`` overrides the process default for its scope
-    (e.g. ``python -m repro casestudy --no-kernels``); otherwise this is
-    :func:`process_kernels_default`.
-    """
-    from ..runtime.context import current_session
-
-    session = current_session()
-    if session is not None and session.kernels is not None:
-        return bool(session.kernels)
-    return _ENABLED
-
-
-@contextmanager
-def use_kernels(enabled: bool) -> Iterator[None]:
-    """Temporarily force the kernel paths on or off."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
-
-# --------------------------------------------------------------------------
-# merge-based intersection
-# --------------------------------------------------------------------------
-
-
-def intersect_size(a: IntArray, b: IntArray) -> int:
-    """|A ∩ B| of two sorted unique id arrays (two-pointer merge)."""
-    i = j = n = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x == y:
-            n += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return n
-
-
-def intersect_size_bounded(a: IntArray, b: IntArray, need: int) -> int:
-    """|A ∩ B|, or ``-1`` as soon as it provably cannot reach *need*.
-
-    The exact size is returned whenever it is ``>= need`` (and also when
-    the merge happens to finish before the bound trips); ``-1`` stands for
-    "less than *need*, stopped early". Callers that only branch on
-    ``size >= need`` get identical behaviour to :func:`intersect_size`.
-    """
-    i = j = n = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        # best case: every remaining element matches
-        if n + min(la - i, lb - j) < need:
-            return -1
-        x, y = a[i], b[j]
-        if x == y:
-            n += 1
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return n if n >= need else -1
-
-
-def has_overlap_at_least(a: IntArray, b: IntArray, k: int) -> bool:
-    """``|A ∩ B| >= k`` with early success/failure exits."""
-    if k <= 0:
-        return True
-    i = j = n = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        if n + min(la - i, lb - j) < k:
-            return False
-        x, y = a[i], b[j]
-        if x == y:
-            n += 1
-            if n >= k:
-                return True
-            i += 1
-            j += 1
-        elif x < y:
-            i += 1
-        else:
-            j += 1
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -243,60 +113,6 @@ SET_MEASURE_SET_KERNELS = {
     "dice": dice_id_sets,
     "overlap_coeff": overlap_coefficient_id_sets,
 }
-
-
-# --------------------------------------------------------------------------
-# set measures over id arrays (expression-for-expression with set_based.py)
-#
-# RETIRED from routing: kept only as allocation-free parity/bench
-# references. kernels.json showed this family 0.40-0.86x vs the string
-# references on qgm_3 (the per-pair call + two-pointer loop overhead
-# dominates), so nothing dispatches through it anymore.
-# --------------------------------------------------------------------------
-
-overlap_size_ids = intersect_size
-
-
-def jaccard_ids(a: IntArray, b: IntArray) -> float:
-    """|A ∩ B| / |A ∪ B|; 1.0 when both are empty."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    inter = intersect_size(a, b)
-    union = la + lb - inter
-    return inter / union
-
-
-def dice_ids(a: IntArray, b: IntArray) -> float:
-    """2|A ∩ B| / (|A| + |B|); 1.0 when both empty, 0.0 when one is."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    if not la or not lb:
-        return 0.0
-    return 2.0 * intersect_size(a, b) / (la + lb)
-
-
-def overlap_coefficient_ids(a: IntArray, b: IntArray) -> float:
-    """|A ∩ B| / min(|A|, |B|); 1.0 when both empty, 0.0 when one is."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    if not la or not lb:
-        return 0.0
-    return intersect_size(a, b) / min(la, lb)
-
-
-def cosine_ids(a: IntArray, b: IntArray) -> float:
-    """Ochiai/set cosine: |A ∩ B| / sqrt(|A| * |B|)."""
-    la, lb = len(a), len(b)
-    if not la and not lb:
-        return 1.0
-    if not la or not lb:
-        return 0.0
-    return intersect_size(a, b) / math.sqrt(la * lb)
-
-
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,9 @@ String token sets are the currency of the blocking and feature-extraction
 hot paths, and intersecting ``frozenset[str]`` objects pays string hashing
 on every probe. A :class:`Vocabulary` maps each distinct token to a dense
 ``int32`` id exactly once; cells become sorted ``array('i')`` id arrays
-that the merge kernels in :mod:`repro.similarity.kernels` intersect with
-integer comparisons only, and that pickle as raw bytes when chunks ship to
-worker processes.
+that pickle as raw bytes when chunks ship to worker processes, and whose
+``frozenset[int]`` views the kernels in :mod:`repro.similarity.kernels`
+and :mod:`repro.similarity.batch` intersect over identity-hashed ints.
 
 Ids are assigned in first-intern order, so they depend on interning
 history — kernel results must only ever depend on id *consistency*

@@ -14,9 +14,9 @@ Three layers, matching the guarantees the kernels make:
   (the worker wire format), and missing (``None``) rows mapping to NaN.
 * **End-to-end bit-identity**: the small-scenario blocking plan and
   feature extraction produce the same candidate pairs (pair for pair, in
-  order) and the same feature matrix (cell for cell) with the kernel
-  switch on and off, serial and parallel — including empty candidate
-  sets, single-pair chunks, and records with empty token sets.
+  order) and the same feature matrix (cell for cell) as the string
+  references in ``tests/blocking_reference.py`` — including empty
+  candidate sets, single-pair chunks, and records with empty token sets.
 """
 
 import math
@@ -43,6 +43,8 @@ from repro.similarity.set_based import (
 from repro.text.intern import Vocabulary, id_array
 from repro.text.tokenizers import whitespace
 
+from .blocking_reference import block_pairs, debug_blocker_top, extract_rows
+
 # Unicode-heavy alphabet: ascii, accents, CJK, an astral-plane char.
 TOKEN_ALPHABET = "abcxyz0189éüñßλжя中文字\U0001f600-"
 
@@ -58,14 +60,6 @@ def interned(vocab: Vocabulary, tokens: frozenset, seed: int):
     ids = [vocab.intern(t) for t in shuffled]
     return id_array(sorted(ids)), frozenset(ids)
 
-
-PARITY_CASES = [
-    (jaccard, kernels.jaccard_ids),
-    (dice, kernels.dice_ids),
-    (cosine_set, kernels.cosine_ids),
-    (overlap_coefficient, kernels.overlap_coefficient_ids),
-    (overlap_size, kernels.overlap_size_ids),
-]
 
 SET_PARITY_CASES = [
     (jaccard, kernels.jaccard_id_sets),
@@ -83,10 +77,8 @@ class TestSetKernelParity:
         # One shared vocabulary, randomized interning order: parity must
         # hold for any id assignment, shared ids included.
         vocab = Vocabulary()
-        ia, sa = interned(vocab, a, seed)
-        ib, sb = interned(vocab, b, seed + 1)
-        for reference, kernel in PARITY_CASES:
-            assert kernel(ia, ib) == reference(a, b), kernel.__name__
+        _, sa = interned(vocab, a, seed)
+        _, sb = interned(vocab, b, seed + 1)
         for reference, kernel in SET_PARITY_CASES:
             assert kernel(sa, sb) == reference(a, b), kernel.__name__
         assert kernels.intersect_count(sa, sb) == overlap_size(a, b)
@@ -95,17 +87,10 @@ class TestSetKernelParity:
     @given(token_sets, token_sets, st.integers(0, 5), st.integers(0, 2**31))
     def test_bounded_variants(self, a, b, k, seed):
         vocab = Vocabulary()
-        ia, sa = interned(vocab, a, seed)
-        ib, sb = interned(vocab, b, seed + 1)
+        _, sa = interned(vocab, a, seed)
+        _, sb = interned(vocab, b, seed + 1)
         exact = len(a & b)
-        assert kernels.intersect_size(ia, ib) == exact
-        bounded = kernels.intersect_size_bounded(ia, ib, k)
-        if exact >= k:
-            assert bounded == exact
-        else:
-            assert bounded == -1 or bounded == exact  # may finish the merge
-            assert bounded < k
-        assert kernels.has_overlap_at_least(ia, ib, k) == (exact >= k)
+        assert kernels.intersect_count(sa, sb) == exact
         assert kernels.overlap_at_least(sa, sb, k) == (exact >= k)
 
     @settings(max_examples=150, deadline=None)
@@ -114,26 +99,22 @@ class TestSetKernelParity:
         # Two vocabularies interning in different orders assign different
         # ids; every kernel value must be unchanged.
         v1, v2 = Vocabulary(), Vocabulary()
-        ia1, _ = interned(v1, a, seed1)
-        ib1, _ = interned(v1, b, seed1 + 1)
-        ia2, _ = interned(v2, a, seed2)
-        ib2, _ = interned(v2, b, seed2 + 1)
-        for _, kernel in PARITY_CASES:
-            assert kernel(ia1, ib1) == kernel(ia2, ib2), kernel.__name__
+        _, sa1 = interned(v1, a, seed1)
+        _, sb1 = interned(v1, b, seed1 + 1)
+        _, sa2 = interned(v2, a, seed2)
+        _, sb2 = interned(v2, b, seed2 + 1)
+        for _, kernel in SET_PARITY_CASES:
+            assert kernel(sa1, sb1) == kernel(sa2, sb2), kernel.__name__
 
     def test_edge_cases(self):
-        vocab = Vocabulary()
-        empty = id_array([])
-        single = id_array([vocab.intern("x")])
-        assert kernels.jaccard_ids(empty, empty) == jaccard(frozenset(), frozenset()) == 1.0
-        assert kernels.dice_ids(empty, single) == dice(frozenset(), frozenset("x")) == 0.0
-        assert kernels.cosine_ids(single, empty) == 0.0
-        assert kernels.overlap_coefficient_ids(empty, empty) == 1.0
-        assert kernels.overlap_size_ids(single, single) == 1
-        assert kernels.has_overlap_at_least(empty, single, 0) is True
-        assert kernels.has_overlap_at_least(empty, single, 1) is False
-        assert kernels.overlap_at_least(frozenset(), frozenset({1}), 0) is True
-        assert kernels.jaccard_id_sets(frozenset(), frozenset()) == 1.0
+        empty, single = frozenset(), frozenset({1})
+        assert kernels.jaccard_id_sets(empty, empty) == jaccard(frozenset(), frozenset()) == 1.0
+        assert kernels.dice_id_sets(empty, single) == dice(frozenset(), frozenset("x")) == 0.0
+        assert kernels.cosine_id_sets(single, empty) == 0.0
+        assert kernels.overlap_coefficient_id_sets(empty, empty) == 1.0
+        assert kernels.overlap_size_id_sets(single, single) == 1
+        assert kernels.overlap_at_least(empty, single, 0) is True
+        assert kernels.overlap_at_least(empty, single, 1) is False
 
 
 #: (string reference, per-pair id-frozenset kernel, batch kernel)
@@ -398,19 +379,8 @@ class TestLevenshteinBounded:
             kernels.levenshtein_bounded("a", "b", -1)
 
 
-class TestKernelSwitch:
-    def test_use_kernels_restores_previous_state(self):
-        before = kernels.kernels_enabled()
-        with kernels.use_kernels(not before):
-            assert kernels.kernels_enabled() is (not before)
-            with kernels.use_kernels(before):
-                assert kernels.kernels_enabled() is before
-            assert kernels.kernels_enabled() is (not before)
-        assert kernels.kernels_enabled() is before
-
-
 # ----------------------------------------------------------------------
-# end-to-end bit-identity: kernel path vs legacy string path
+# end-to-end bit-identity: id paths vs the string references
 # ----------------------------------------------------------------------
 
 
@@ -419,18 +389,20 @@ def projected(case_study):
     return case_study.projected
 
 
-def test_blocking_plan_bit_identical(projected):
-    from repro.casestudy.blocking_plan import run_blocking
+def _args(projected):
+    return (projected.umetrics, projected.usda, projected.l_key, projected.r_key)
 
-    with kernels.use_kernels(False):
-        legacy = run_blocking(projected)
-    with kernels.use_kernels(True):
-        kernel = run_blocking(projected)
-    for stage in ("c1", "c2", "c3", "candidates"):
-        l_pairs = getattr(legacy, stage).pairs
-        k_pairs = getattr(kernel, stage).pairs
-        assert l_pairs == k_pairs, f"{stage}: pair list or order differs"
-    assert legacy.debugger_top == kernel.debugger_top
+
+def test_blocking_plan_bit_identical(projected):
+    from repro.casestudy.blocking_plan import make_blockers, run_blocking
+
+    outcome = run_blocking(projected)
+    _, overlap, coefficient = make_blockers()
+    assert outcome.c2.pairs == block_pairs(overlap, *_args(projected))
+    assert outcome.c3.pairs == block_pairs(coefficient, *_args(projected))
+    assert list(outcome.debugger_top) == debug_blocker_top(
+        outcome.candidates, [("AwardTitle", "AwardTitle")], 100
+    )
 
 
 def test_feature_matrix_bit_identical(projected):
@@ -442,30 +414,25 @@ def test_feature_matrix_bit_identical(projected):
     fs = add_case_insensitive_variants(
         base_feature_set(projected), attrs=["AwardTitle"]
     )
-    with kernels.use_kernels(False):
-        legacy = extract_feature_vectors(candidates, fs)
-    with kernels.use_kernels(True):
-        kernel = extract_feature_vectors(candidates, fs)
-    assert legacy.pairs == kernel.pairs
-    assert legacy.feature_names == kernel.feature_names
-    assert np.array_equal(legacy.values, kernel.values, equal_nan=True)
+    kernel = extract_feature_vectors(candidates, fs)
+    assert kernel.pairs == candidates.pairs
+    assert kernel.feature_names == fs.names
+    assert np.array_equal(extract_rows(candidates, fs), kernel.values, equal_nan=True)
     # spot-check: matrices are finite where defined and non-degenerate
     assert np.isfinite(kernel.values[~np.isnan(kernel.values)]).all()
 
 
 def test_overlap_blocker_kernel_off_matches_on(projected):
+    """The id probe against the string probe (the former kernel-off path)."""
     from repro.blocking import OverlapBlocker
 
     blocker = OverlapBlocker("AwardTitle", "AwardTitle", threshold=3)
-    args = (projected.umetrics, projected.usda, projected.l_key, projected.r_key)
-    with kernels.use_kernels(False):
-        legacy = blocker.block_tables(*args)
-    with kernels.use_kernels(True):
-        kernel = blocker.block_tables(*args)
-    assert legacy.pairs == kernel.pairs
+    kernel = blocker.block_tables(*_args(projected))
+    assert kernel.pairs == block_pairs(blocker, *_args(projected))
 
 
 def test_coefficient_blocker_kernel_off_matches_on(projected):
+    """The id probe against the string probe (the former kernel-off path)."""
     from repro.blocking import OverlapCoefficientBlocker
     from repro.text.normalize import normalize_title
 
@@ -473,12 +440,8 @@ def test_coefficient_blocker_kernel_off_matches_on(projected):
         "AwardTitle", "AwardTitle", threshold=0.7,
         tokenizer=whitespace, normalizer=normalize_title,
     )
-    args = (projected.umetrics, projected.usda, projected.l_key, projected.r_key)
-    with kernels.use_kernels(False):
-        legacy = blocker.block_tables(*args)
-    with kernels.use_kernels(True):
-        kernel = blocker.block_tables(*args)
-    assert legacy.pairs == kernel.pairs
+    kernel = blocker.block_tables(*_args(projected))
+    assert kernel.pairs == block_pairs(blocker, *_args(projected))
 
 
 # ----------------------------------------------------------------------
@@ -518,31 +481,27 @@ def _edge_tables():
 
 
 def _edge_matrix(pairs):
-    """Feature matrices for *pairs* with the switch off and on."""
+    """(reference values, kernel matrix) for *pairs*."""
     from repro.blocking.candidate_set import CandidateSet
     from repro.features.generate import generate_features
 
     left, right = _edge_tables()
     candidates = CandidateSet(left, right, "id", "id", pairs)
     fs = generate_features(left, right, exclude_attrs=["id"])
-    with kernels.use_kernels(False):
-        legacy = extract_feature_vectors(candidates, fs)
-    with kernels.use_kernels(True):
-        kernel = extract_feature_vectors(candidates, fs)
-    return legacy, kernel
+    return extract_rows(candidates, fs), extract_feature_vectors(candidates, fs)
 
 
 def test_empty_candidate_chunk_extraction():
-    legacy, kernel = _edge_matrix([])
-    assert legacy.pairs == kernel.pairs == []
-    assert legacy.values.shape == kernel.values.shape
+    reference, kernel = _edge_matrix([])
+    assert kernel.pairs == []
+    assert reference.shape == kernel.values.shape
     assert kernel.values.shape[0] == 0
 
 
 def test_single_pair_chunk_extraction():
-    legacy, kernel = _edge_matrix([(1, 10)])
-    assert legacy.pairs == kernel.pairs == [(1, 10)]
-    assert np.array_equal(legacy.values, kernel.values, equal_nan=True)
+    reference, kernel = _edge_matrix([(1, 10)])
+    assert kernel.pairs == [(1, 10)]
+    assert np.array_equal(reference, kernel.values, equal_nan=True)
 
 
 def test_empty_and_missing_token_sets_extraction():
@@ -550,9 +509,9 @@ def test_empty_and_missing_token_sets_extraction():
     # missing cells must score identically on the batch and string paths
     # (missing cells as NaN on both).
     pairs = [(1, 10), (2, 30), (2, 20), (3, 10), (1, 40), (4, 20)]
-    legacy, kernel = _edge_matrix(pairs)
-    assert legacy.pairs == kernel.pairs
-    assert np.array_equal(legacy.values, kernel.values, equal_nan=True)
+    reference, kernel = _edge_matrix(pairs)
+    assert kernel.pairs == pairs
+    assert np.array_equal(reference, kernel.values, equal_nan=True)
     missing_rows = [pairs.index((3, 10)), pairs.index((1, 40))]
     names = kernel.feature_names
     token_cols = [i for i, n in enumerate(names) if "_jac_" in n or "_cos_" in n]
@@ -570,11 +529,10 @@ def test_blockers_tolerate_empty_token_records():
         OverlapBlocker("title", "title", threshold=2),
         OverlapCoefficientBlocker("title", "title", threshold=0.5),
     ):
-        with kernels.use_kernels(False):
-            legacy = blocker.block_tables(left, right, "id", "id")
-        with kernels.use_kernels(True):
-            kernel = blocker.block_tables(left, right, "id", "id")
-        assert legacy.pairs == kernel.pairs, type(blocker).__name__
+        kernel = blocker.block_tables(left, right, "id", "id")
+        assert kernel.pairs == block_pairs(
+            blocker, left, right, "id", "id"
+        ), type(blocker).__name__
         # empty/missing records never pair
         for lid, rid in kernel.pairs:
             assert lid in (1, 4) and rid in (10, 20)

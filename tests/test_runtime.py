@@ -132,11 +132,17 @@ class TestTokenCache:
         assert not column[2]  # whitespace-only -> no tokens
 
     def test_tokens_by_id_drops_tokenless_rows(self):
+        from tests.blocking_reference import tokens_by_id
+
         cache = TokenCache()
         table = self.make_table()
-        by_id = cache.tokens_by_id(table, "t", "id", whitespace, normalize_title)
+        by_id = tokens_by_id(table, "t", "id", whitespace, normalize_title)
         assert set(by_id) == {1}
         assert by_id[1] == frozenset({"corn", "fungicide"})
+        entries = cache.token_ids_by_id(table, "t", "id", whitespace, normalize_title)
+        assert list(entries) == list(by_id)
+        decoded = {cache.vocabulary.token_of(t) for t in entries[1].probe}
+        assert decoded == by_id[1]
 
     def test_clear(self):
         cache = TokenCache()
@@ -426,18 +432,32 @@ class TestProbePayloadOrderStability:
     def test_coefficient_probe_order_survives_pickle(self):
         import pickle
 
-        from repro.blocking.overlap_coefficient import _probe_coefficient_chunk
+        from repro.blocking.overlap_family import _probe_chunk
+        from repro.runtime.columnar import TokenColumn
+        from repro.similarity.batch import overlap_coefficient_at_least_batch
+        from repro.text.intern import Vocabulary, id_array
 
         witness = self._order_changing_frozenset()
         if witness is None:
             pytest.skip("no order-changing frozenset under this hash seed")
-        # One right record per left token: every candidate survives, so
-        # pair emission order is exactly the probe order.
-        r_tokens = {f"r{i}": frozenset([tok]) for i, tok in enumerate(witness)}
-        index = {tok: [rid] for rid, toks in r_tokens.items() for tok in toks}
-        l_items = [("l0", list(witness), witness)]  # as _block_strings builds it
-        payload = (l_items, r_tokens, index, 1e-9)
+        # The probe ships as an id array in the parent frozenset's
+        # iteration order. One right record per left token: every
+        # candidate survives, so emission replays the probe order.
+        vocab = Vocabulary()
+        probe = id_array(vocab.intern(tok) for tok in witness)
+        rids = tuple(f"r{i}" for i in range(len(probe)))
+        index = {tid: [rid] for tid, rid in zip(probe, rids)}
+        payload = (
+            ["l0"],
+            [probe],
+            TokenColumn.from_sets([frozenset(probe)]),
+            rids,
+            TokenColumn.from_sets([frozenset([tid]) for tid in probe]),
+            index,
+            overlap_coefficient_at_least_batch,
+            1e-9,
+        )
         shipped = pickle.loads(
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         )
-        assert _probe_coefficient_chunk(*shipped) == _probe_coefficient_chunk(*payload)
+        assert _probe_chunk(*shipped) == _probe_chunk(*payload)
