@@ -155,7 +155,15 @@ class Blocker:
         validate_key(ltable, l_key)
         validate_key(rtable, r_key)
         for table, attr in attrs:
-            if attr not in table:
-                raise BlockingError(
-                    f"blocking attribute {attr!r} not in table {table.name!r}"
-                )
+            _require_attr(table, attr)
+
+    def _validate_table(self, table: Table, key: str, attr: str) -> None:
+        """:meth:`_validate_inputs` for one table: the incremental handles
+        check the fixed right table once and each upsert batch on its own."""
+        validate_key(table, key)
+        _require_attr(table, attr)
+
+
+def _require_attr(table: Table, attr: str) -> None:
+    if attr not in table:
+        raise BlockingError(f"blocking attribute {attr!r} not in table {table.name!r}")

@@ -16,6 +16,11 @@ from ..table import Table
 Pair = tuple[Any, Any]
 
 
+def row_index(keys: Sequence[Any]) -> dict[Any, int]:
+    """Key value -> row position (a key column's values are unique)."""
+    return {v: i for i, v in enumerate(keys)}
+
+
 class CandidateSet:
     """A set of candidate record pairs between two tables.
 
@@ -41,17 +46,49 @@ class CandidateSet:
         pairs: Iterable[Pair] = (),
         name: str = "",
     ) -> None:
+        self._bind(
+            ltable, rtable, l_key, r_key,
+            row_index(ltable[l_key]), row_index(rtable[r_key]), pairs, name,
+        )
+
+    @classmethod
+    def _over(
+        cls, ltable: Table, rtable: Table, l_key: str, r_key: str,
+        l_index: dict[Any, int], r_index: dict[Any, int],
+        pairs: Iterable[Pair] = (), name: str = "",
+    ) -> "CandidateSet":
+        """A set over prebuilt key indexes (:func:`row_index` of the key
+        columns; shared, not copied), so building it costs O(pairs), not
+        O(tables). Derived sets reuse their parent's indexes, and a
+        :class:`~repro.serving.MatchService` indexes its fixed right table
+        once."""
+        self = cls.__new__(cls)
+        self._bind(ltable, rtable, l_key, r_key, l_index, r_index, pairs, name)
+        return self
+
+    def _bind(
+        self, ltable: Table, rtable: Table, l_key: str, r_key: str,
+        l_index: dict[Any, int], r_index: dict[Any, int],
+        pairs: Iterable[Pair], name: str,
+    ) -> None:
         self.ltable = ltable
         self.rtable = rtable
         self.l_key = l_key
         self.r_key = r_key
         self.name = name
-        self._l_index = {v: i for i, v in enumerate(ltable[l_key])}
-        self._r_index = {v: i for i, v in enumerate(rtable[r_key])}
+        self._l_index = l_index
+        self._r_index = r_index
         self._pairs: list[Pair] = []
         self._seen: set[Pair] = set()
         for pair in pairs:
             self.add(pair)
+
+    def _derive(self, pairs: Iterable[Pair], name: str = "") -> "CandidateSet":
+        """A new set of *pairs* over this set's tables and key indexes."""
+        return CandidateSet._over(
+            self.ltable, self.rtable, self.l_key, self.r_key,
+            self._l_index, self._r_index, pairs, name,
+        )
 
     # ------------------------------------------------------------------
     # mutation
@@ -137,40 +174,27 @@ class CandidateSet:
 
     def union(self, other: "CandidateSet", name: str = "") -> "CandidateSet":
         self._check_compatible(other)
-        return CandidateSet(
-            self.ltable, self.rtable, self.l_key, self.r_key,
-            self._pairs + other._pairs, name=name,
-        )
+        return self._derive(self._pairs + other._pairs, name)
 
     def intersection(self, other: "CandidateSet", name: str = "") -> "CandidateSet":
         self._check_compatible(other)
-        return CandidateSet(
-            self.ltable, self.rtable, self.l_key, self.r_key,
-            [p for p in self._pairs if p in other._seen], name=name,
-        )
+        return self._derive([p for p in self._pairs if p in other._seen], name)
 
     def difference(self, other: "CandidateSet", name: str = "") -> "CandidateSet":
         self._check_compatible(other)
-        return CandidateSet(
-            self.ltable, self.rtable, self.l_key, self.r_key,
-            [p for p in self._pairs if p not in other._seen], name=name,
-        )
+        return self._derive([p for p in self._pairs if p not in other._seen], name)
 
     def subset(self, pairs: Sequence[Pair], name: str = "") -> "CandidateSet":
         """A candidate set restricted to *pairs* (all must be members)."""
         missing = [p for p in pairs if tuple(p) not in self._seen]
         if missing:
             raise BlockingError(f"{len(missing)} pairs not in candidate set: {missing[:3]}")
-        return CandidateSet(
-            self.ltable, self.rtable, self.l_key, self.r_key, pairs, name=name
-        )
+        return self._derive(pairs, name)
 
     def filter(self, predicate: Callable[[dict, dict], bool], name: str = "") -> "CandidateSet":
         """Keep pairs whose records satisfy *predicate(l_row, r_row)*."""
         kept = [p for p in self._pairs if predicate(*self.record_pair(p))]
-        return CandidateSet(
-            self.ltable, self.rtable, self.l_key, self.r_key, kept, name=name
-        )
+        return self._derive(kept, name)
 
     # ------------------------------------------------------------------
     # materialisation

@@ -20,10 +20,7 @@ from .candidate_set import CandidateSet
 def _fresh_copy(candidates: CandidateSet, name: str) -> CandidateSet:
     """A new candidate set with the same pairs — never the caller's object,
     whose ``name`` (and pair list) must stay untouched by combining."""
-    return CandidateSet(
-        candidates.ltable, candidates.rtable, candidates.l_key, candidates.r_key,
-        candidates.pairs, name=name,
-    )
+    return candidates._derive(candidates.pairs, name)
 
 
 def union_candidates(candidate_sets: Sequence[CandidateSet], name: str = "") -> CandidateSet:

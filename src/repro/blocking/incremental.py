@@ -177,14 +177,9 @@ class IncrementalBlocking:
         return Table.from_rows(rows, name="upsert")
 
     def _validate_batch(self, table: Table) -> None:
-        blocker = self.blocker
-        blocker._validate_inputs(
-            table,
-            self.rtable,
-            self.l_key,
-            self.r_key,
-            [(table, blocker.l_attr), (self.rtable, blocker.r_attr)],
-        )
+        """Check the batch only: the subclass constructors checked the
+        fixed right table once, so a preview costs O(batch)."""
+        self.blocker._validate_table(table, self.l_key, self.blocker.l_attr)
 
     # -- mutation ------------------------------------------------------
 
@@ -269,9 +264,7 @@ class _TokenIncrementalBlocking(IncrementalBlocking):
         super().__init__(blocker, rtable, l_key, r_key, session=session)
         resolved = resolve_session(session)
         self._cache = resolved.token_cache
-        blocker._validate_inputs(
-            rtable, rtable, r_key, r_key, [(rtable, blocker.r_attr)]
-        )
+        blocker._validate_table(rtable, r_key, blocker.r_attr)
         r_entries = self._cache.token_ids_by_id(
             rtable, blocker.r_attr, r_key, blocker.tokenizer, blocker.normalizer
         )
@@ -348,9 +341,7 @@ class AttrEquivalenceIncremental(IncrementalBlocking):
         super().__init__(blocker, rtable, l_key, r_key, session=session)
         from ..table.column import is_missing
 
-        blocker._validate_inputs(
-            rtable, rtable, r_key, r_key, [(rtable, blocker.r_attr)]
-        )
+        blocker._validate_table(rtable, r_key, blocker.r_attr)
         r_values = blocker._values(rtable, blocker.r_attr, blocker.r_preprocess)
         self._r_index: dict[Any, list[Any]] = {}
         for rid, value in zip(rtable[r_key], r_values):

@@ -64,31 +64,62 @@ class ExactNumberRule:
             return False
         return left == right
 
-    def pairs(
-        self, ltable: Table, rtable: Table, l_key: str, r_key: str, name: str = ""
-    ) -> CandidateSet:
-        """All pairs of A x B firing this rule, computed via an index."""
-        if self.l_attr not in ltable:
-            raise RuleError(f"rule {self.name!r}: no column {self.l_attr!r} in left table")
+    def right_index(self, rtable: Table, r_key: str) -> "RuleIndex":
+        """Index *rtable* once: extracted right value -> right ids, in row order."""
         if self.r_attr not in rtable:
             raise RuleError(f"rule {self.name!r}: no column {self.r_attr!r} in right table")
-        index: dict[Any, list[Any]] = {}
+        postings: dict[Any, list[Any]] = {}
         for rid, value in zip(rtable[r_key], rtable[self.r_attr]):
             if is_missing(value):
                 continue
             extracted = self.r_extract(value)
             if extracted is not None:
-                index.setdefault(extracted, []).append(rid)
+                postings.setdefault(extracted, []).append(rid)
+        return RuleIndex(self, postings)
+
+    def pairs(
+        self, ltable: Table, rtable: Table, l_key: str, r_key: str, name: str = ""
+    ) -> CandidateSet:
+        """All pairs of A x B firing this rule, computed via an index."""
+        self._require_left(ltable)
+        pairs = self.right_index(rtable, r_key).probe(ltable, l_key)
+        return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.name)
+
+    def _require_left(self, ltable: Table) -> None:
+        if self.l_attr not in ltable:
+            raise RuleError(f"rule {self.name!r}: no column {self.l_attr!r} in left table")
+
+
+@dataclass(frozen=True)
+class RuleIndex:
+    """A positive rule's right side, built once by
+    :meth:`ExactNumberRule.right_index`.
+
+    Probing costs O(left rows): a service over a fixed right table builds
+    each rule's index in its constructor, and each request pays only for
+    its own records.
+    """
+
+    rule: ExactNumberRule
+    #: Extracted right value -> right ids, in right-row order (shared; don't mutate).
+    postings: dict[Any, list[Any]]
+
+    def probe(self, ltable: Table, l_key: str) -> list[Pair]:
+        """Pairs of *ltable* rows firing the rule, in left-row order and
+        right-row order within a left row (the order of :meth:`ExactNumberRule.pairs`)."""
+        rule = self.rule
+        rule._require_left(ltable)
+        postings = self.postings
         pairs: list[Pair] = []
-        for lid, value in zip(ltable[l_key], ltable[self.l_attr]):
+        for lid, value in zip(ltable[l_key], ltable[rule.l_attr]):
             if is_missing(value):
                 continue
-            extracted = self.l_extract(value)
+            extracted = rule.l_extract(value)
             if extracted is None:
                 continue
-            for rid in index.get(extracted, ()):
+            for rid in postings.get(extracted, ()):
                 pairs.append((lid, rid))
-        return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.name)
+        return pairs
 
 
 def m1_rule(l_attr: str = "AwardNumber", r_attr: str = "AwardNumber") -> ExactNumberRule:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..blocking.candidate_set import CandidateSet, Pair
+from ..blocking.candidate_set import CandidateSet, Pair, row_index
 from ..blocking.combiner import union_candidates
 from ..blocking.factory import BlockerConfig, create_blocker
 from ..core.patch import merge_match_sets
@@ -187,9 +187,12 @@ class MatchService:
             blocker.incremental(rtable, l_key, r_key, session=self._session)
             for blocker in blockers
         ]
-        self._r_row_index = {
-            value: indices[0] for value, indices in rtable.value_index(r_key).items()
-        }
+        # Built once: the right table is fixed, so each request pays only
+        # for its own records (docs/serving.md, "Per-request cost").
+        self._rule_indexes = [
+            rule.right_index(rtable, r_key) for rule in self.positive_rules
+        ]
+        self._r_index = row_index(rtable[r_key])
         # Live per-record state, all keyed by left id in insertion order.
         self._rows: dict[Any, dict[str, Any]] = {}
         self._sure: dict[Any, tuple[Pair, ...]] = {}
@@ -280,13 +283,13 @@ class MatchService:
         is the workflow's own operator over the same inputs.
         """
         from ..rules.negative import apply_negative_rules
-        from ..store.stages import PredictStage, SureMatchStage
+        from ..store.stages import IndexedSureMatchStage, PredictStage
 
         session = self._session
         c1 = session.run_stage(
-            SureMatchStage(
-                self.positive_rules, batch, self.rtable, self.l_key, self.r_key,
-                name="C1", trace_name="positive_rules",
+            IndexedSureMatchStage(
+                self._rule_indexes, batch, self.rtable, self.l_key, self.r_key,
+                self._r_index, name="C1", trace_name="positive_rules",
             ),
             provenance=collector,
         )
@@ -295,10 +298,7 @@ class MatchService:
         for handle in self.handles:
             pending = handle.preview(batch)
             pendings.append(pending)
-            result = CandidateSet(
-                batch, self.rtable, self.l_key, self.r_key,
-                pending.delta, name=handle.blocker.short_name,
-            )
+            result = c1._derive(pending.delta, handle.blocker.short_name)
             blocked.append(result)
             if collector is not None:
                 collector.record_blocker(handle.blocker.short_name, result.pairs)
@@ -448,9 +448,9 @@ class MatchService:
         probe = Table.from_rows([row], name="probe")
         sure_rule_of: dict[Pair, str] = {}
         emitted: dict[Pair, list[str]] = {}
-        for rule in self.positive_rules:
-            for pair in rule.pairs(probe, self.rtable, self.l_key, self.r_key).pairs:
-                sure_rule_of.setdefault(pair, rule.name)
+        for index in self._rule_indexes:
+            for pair in index.probe(probe, self.l_key):
+                sure_rule_of.setdefault(pair, index.rule.name)
                 emitted.setdefault(pair, [])
         for handle in self.handles:
             for pair in handle.preview(probe).delta:
@@ -460,8 +460,9 @@ class MatchService:
         scores: dict[Pair, float] = {}
         predicted: set[Pair] = set()
         if to_score:
-            candidates = CandidateSet(
-                probe, self.rtable, self.l_key, self.r_key, to_score, name="probe"
+            candidates = CandidateSet._over(
+                probe, self.rtable, self.l_key, self.r_key,
+                row_index(probe[self.l_key]), self._r_index, to_score, "probe",
             )
             matrix = extract_feature_vectors(
                 candidates, self.feature_set, session=self._session
@@ -473,7 +474,7 @@ class MatchService:
             predicted = {p for p, s in probabilities.items() if s >= 0.5}
         flipped_by: dict[Pair, str] = {}
         if self.negative_rules and to_score:
-            r_index = self._r_row_index
+            r_index = self._r_index
             for pair in to_score:
                 if pair not in predicted:
                     continue

@@ -180,11 +180,51 @@ class SureMatchStage(StageOperator):
         return {"sure_pairs": len(result)}
 
     def record(self, provenance, result) -> None:
-        for rule in self.rules:
-            provenance.record_rule(
-                rule.name,
-                rule.pairs(self.ltable, self.rtable, self.l_key, self.r_key).pairs,
-            )
+        for rule, pairs in zip(self.rules, self._rule_pairs()):
+            provenance.record_rule(rule.name, pairs)
+
+    def _rule_pairs(self) -> list[list]:
+        """Each rule's own pairs, in rule order."""
+        return [
+            rule.pairs(self.ltable, self.rtable, self.l_key, self.r_key).pairs
+            for rule in self.rules
+        ]
+
+
+class IndexedSureMatchStage(SureMatchStage):
+    """:class:`SureMatchStage` over a right table indexed once.
+
+    A :class:`~repro.serving.MatchService` builds each rule's
+    :class:`~repro.rules.positive.RuleIndex` and the right-key
+    :func:`~repro.blocking.candidate_set.row_index` in its constructor, so
+    a patch's compute and provenance record cost O(patch rows). The
+    fingerprint, counters and output are the plain stage's.
+    """
+
+    def __init__(
+        self, indexes: Sequence[Any], ltable: Any, rtable: Any, l_key: str,
+        r_key: str, r_index: dict, *, name: str = "sure_matches",
+        trace_name: str | None = None,
+    ) -> None:
+        super().__init__(
+            [index.rule for index in indexes], ltable, rtable, l_key, r_key,
+            name=name, trace_name=trace_name,
+        )
+        self.indexes = list(indexes)
+        self.r_index = r_index
+
+    def compute(self, session) -> Any:
+        from ..blocking.candidate_set import CandidateSet, row_index
+
+        # concatenated, then deduplicated in order: sure_matches' union
+        pairs = [pair for pairs in self._rule_pairs() for pair in pairs]
+        return CandidateSet._over(
+            self.ltable, self.rtable, self.l_key, self.r_key,
+            row_index(self.ltable[self.l_key]), self.r_index, pairs, self.name,
+        )
+
+    def _rule_pairs(self) -> list[list]:
+        return [index.probe(self.ltable, self.l_key) for index in self.indexes]
 
 
 class ExtractStage(StageOperator):

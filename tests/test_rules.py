@@ -1,6 +1,10 @@
 """Tests for positive (sure-match) and negative (flip) rules."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import CandidateSet
 from repro.errors import RuleError
@@ -84,6 +88,115 @@ class TestPositiveRules:
         left, right = projected_tables()
         with pytest.raises(RuleError):
             sure_matches([], left, right, "RecordId", "RecordId")
+
+
+def _suffix_or_none(value):
+    """Extractor: ``None`` for cells starting with ``x``, else the last two
+    characters, so distinct right cells share extracted values."""
+    return None if value.startswith("x") else value[-2:]
+
+
+#: Cells: missing (None, NaN), extractor-rejected ("x..."), and short
+#: strings whose two-character suffixes collide on the right.
+CELLS = st.one_of(
+    st.none(),
+    st.just(math.nan),
+    st.sampled_from(["x1", "xa9", "a1", "b1", "ca1", "a2", "b2", "12", "x2"]),
+)
+
+
+@st.composite
+def rule_worlds(draw):
+    def table(name, first_id):
+        n = draw(st.integers(min_value=0, max_value=8))
+        return Table(
+            {
+                "k": list(range(first_id, first_id + n)),
+                "p": [draw(CELLS) for _ in range(n)],
+                "q": [draw(CELLS) for _ in range(n)],
+            },
+            name=name,
+        )
+
+    left, right = table("L", 0), table("R", 100)
+    extractors = st.sampled_from([lambda v: v, _suffix_or_none])
+    rules = [
+        ExactNumberRule(
+            f"r{i}", draw(st.sampled_from("pq")), draw(st.sampled_from("pq")),
+            l_extract=draw(extractors), r_extract=draw(extractors),
+        )
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    return left, right, rules
+
+
+class TestRuleIndexDifferential:
+    """A prebuilt right index, probed, gives what the one-shot paths give."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_worlds())
+    def test_probe_equals_pairs_and_sure_matches(self, world):
+        left, right, rules = world
+        probed = []
+        for rule in rules:
+            pairs = rule.right_index(right, "k").probe(left, "k")
+            # brute-force reference: left-row order, then right-row order
+            reference = [
+                (l_row["k"], r_row["k"])
+                for l_row in left.rows()
+                for r_row in right.rows()
+                if rule.matches(l_row, r_row)
+            ]
+            assert pairs == reference
+            assert pairs == rule.pairs(left, right, "k", "k").pairs
+            probed.extend(pairs)
+        expected = sure_matches(rules, left, right, "k", "k").pairs
+        assert list(dict.fromkeys(probed)) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(rule_worlds())
+    def test_indexed_sure_stage_equals_plain_stage(self, world):
+        from repro.blocking.candidate_set import row_index
+        from repro.obs.provenance import MatchProvenance
+        from repro.store.stages import IndexedSureMatchStage, SureMatchStage
+
+        left, right, rules = world
+        plain = SureMatchStage(rules, left, right, "k", "k", name="C1")
+        indexed = IndexedSureMatchStage(
+            [rule.right_index(right, "k") for rule in rules],
+            left, right, "k", "k", row_index(right["k"]), name="C1",
+        )
+        # the inherited fingerprint reads these, so store keys are shared
+        assert indexed.rules == plain.rules
+        assert indexed.label() == plain.label()
+        expected, got = plain.compute(None), indexed.compute(None)
+        assert (got.name, got.pairs) == (expected.name, expected.pairs)
+        assert indexed.counters(got) == plain.counters(expected)
+        recorded = []
+        for stage, result in ((plain, expected), (indexed, got)):
+            collector = MatchProvenance("C1")
+            stage.record(collector, result)
+            recorded.append(collector.rule_pairs)
+        assert recorded[0] == recorded[1]
+
+    def test_one_index_serves_many_probes(self):
+        left, right = projected_tables()
+        index = m1_rule().right_index(right, "RecordId")
+        for i in range(len(left)):
+            one = left.take([i])
+            assert index.probe(one, "RecordId") == m1_rule().pairs(
+                one, right, "RecordId", "RecordId"
+            ).pairs
+
+    def test_missing_columns_rejected(self):
+        left, right = projected_tables()
+        with pytest.raises(RuleError, match="right table"):
+            ExactNumberRule("bad", "AwardNumber", "Nope").right_index(right, "RecordId")
+        index = ExactNumberRule("bad", "Nope", "AwardNumber").right_index(
+            right, "RecordId"
+        )
+        with pytest.raises(RuleError, match="left table"):
+            index.probe(left, "RecordId")
 
 
 class TestNegativeRules:

@@ -12,11 +12,16 @@ driving the service end to end against a rebuilt-from-scratch reference.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.blocking import OverlapBlocker, RuleBasedBlocker
+from repro.blocking import (
+    AttrEquivalenceBlocker,
+    OverlapBlocker,
+    OverlapCoefficientBlocker,
+    RuleBasedBlocker,
+)
 from repro.core import EMWorkflow
 from repro.errors import IncrementalBlockingError, ServingError
 from repro.matchers import MLMatcher
@@ -341,3 +346,75 @@ ServiceConvergence.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 TestServiceConvergence = ServiceConvergence.TestCase
+
+
+def _wide_blockers():
+    """Every incremental blocker over the serving world's columns."""
+    return [
+        AttrEquivalenceBlocker("num", "num"),
+        OverlapBlocker("t", "t", threshold=2),
+        OverlapCoefficientBlocker("t", "t", threshold=0.6),
+    ]
+
+
+class TestReadPathAgainstWritePath:
+    """``match()`` is checked against the patch path, and its per-request
+    cost against the right table's size."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(row=SERVE_ROWS, wide=st.booleans())
+    def test_match_verdicts_equal_a_one_record_patch(self, row, wide):
+        blockers = _wide_blockers if wide else (lambda: None)
+        response = build_service(blockers=blockers()).match(row)
+        patch = build_service(blockers=blockers()).apply_patch(upserts=[row])
+        assert len(set(response.matches)) == len(response.matches)
+        assert set(response.matches) == set(patch.matches)
+        assert {c.pair for c in response.candidates} == set(patch.candidates)
+
+    def test_match_does_no_right_table_work(self, monkeypatch):
+        import sys
+
+        from repro.blocking import candidate_set
+        from repro.rules import positive
+        from repro.table import catalog
+
+        service = build_service(blockers=_wide_blockers())
+        rtable_keys = service.rtable[service.r_key]
+        validated, keyed, indexed = [], [], []
+
+        def spy_validate(table, column):
+            validated.append(table is service.rtable)
+            return original_validate(table, column)
+
+        def spy_row_index(keys):
+            keyed.append(keys is rtable_keys)
+            return original_row_index(keys)
+
+        def spy_right_index(rule, rtable, r_key):
+            indexed.append(rule.name)
+            return original_right_index(rule, rtable, r_key)
+
+        original_validate = catalog.validate_key
+        original_row_index = candidate_set.row_index
+        original_right_index = positive.ExactNumberRule.right_index
+        for module in list(sys.modules.values()):
+            if not getattr(module, "__name__", "").startswith("repro"):
+                continue
+            if getattr(module, "validate_key", None) is original_validate:
+                monkeypatch.setattr(module, "validate_key", spy_validate)
+            if getattr(module, "row_index", None) is original_row_index:
+                monkeypatch.setattr(module, "row_index", spy_row_index)
+        monkeypatch.setattr(positive.ExactNumberRule, "right_index", spy_right_index)
+
+        probes = [
+            {"id": 9, "num": "A1", "t": "x y z w"},
+            {"id": 9, "num": "WIS00001", "t": "a b c d"},
+            {"id": 7, "num": None, "t": "p q r s"},
+            {"id": 1, "num": "A1", "t": ""},
+        ]
+        for probe in probes:
+            assert service.match(probe).candidates
+        assert validated and not any(validated)
+        assert keyed and not any(keyed)
+        assert indexed == []
