@@ -37,10 +37,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
-from repro.casestudy.blocking_plan import make_blockers, run_blocking  # noqa: E402
+from repro.casestudy.blocking_plan import run_blocking  # noqa: E402
 from repro.casestudy.matching import base_feature_set  # noqa: E402
 from repro.features import extract_feature_vectors  # noqa: E402
 from repro.obs import load_benchmark_result  # noqa: E402
+from repro.plan import figure10_spec, recipe_from_spec  # noqa: E402
 from repro.runtime import EngineSession, Instrumentation  # noqa: E402
 from tests.blocking_reference import block_pairs, extract_rows  # noqa: E402
 
@@ -79,7 +80,7 @@ def test_runtime_parallel(run, emit_report):
 
     # kernel outputs must be bit-identical to the string references
     args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
-    _, overlap, coefficient = make_blockers()
+    _, overlap, coefficient = recipe_from_spec(figure10_spec()).blockers
     assert serial_block.c2.pairs == block_pairs(overlap, *args)
     assert serial_block.c3.pairs == block_pairs(coefficient, *args)
     assert serial_matrix.pairs == serial_block.candidates.pairs
@@ -98,7 +99,9 @@ def test_runtime_parallel(run, emit_report):
         )
         parallel_matrix, parallel_extract_s = _timed(
             extract_feature_vectors, parallel_block.candidates, features,
-            session=session.derive(instrumentation=feat_instr),
+            session=EngineSession(
+                workers=WORKERS, pool=session.worker_pool, instrumentation=feat_instr
+            ),
         )
         pool = session.worker_pool
         pool_bytes, pool_chunks = pool.pickled_bytes, pool.pickled_chunks

@@ -59,9 +59,10 @@ def test_serving_delta_beats_warm_rerun(benchmark, run, tmp_path, emit_report):
     with EngineSession(store=store):
         workflow.run(tables.umetrics, tables.usda, tables.l_key,
                      tables.r_key, matcher, run.matching.feature_set)
+    rerun_session = EngineSession(store=store)
     started = time.perf_counter()
     rerun = run_combined_workflow(*common, with_negative_rules=True,
-                                  store=store)
+                                  session=rerun_session)
     rerun_seconds = time.perf_counter() - started
 
     # the serving path: bootstrap over the v2 tables (untimed — that is

@@ -35,14 +35,15 @@ def test_store_incremental_patch_replay(benchmark, run, tmp_path, emit_report):
     # cold run: Figure 9 with an empty store (every stage computes + stores)
     root = tmp_path / "store"
     cold_store = ArtifactStore(root)
+    cold_session = EngineSession(store=cold_store)
     started = time.perf_counter()
     cold = run_combined_workflow(*common, with_negative_rules=False,
-                                 store=cold_store)
+                                 session=cold_session)
     cold_seconds = time.perf_counter() - started
 
     # warm replay: Figure 10 (the Section-10 patch) over the same store
-    # root — driven by an ambient EngineSession instead of the legacy
-    # store= kwarg, so this bench also asserts the two plumbing paths
+    # root — driven by an ambient EngineSession instead of an explicit
+    # session=, so this bench also asserts the two resolution paths
     # produce byte-identical artifacts and reuse decisions
     warm_store = ArtifactStore(root)
     started = time.perf_counter()

@@ -23,9 +23,8 @@ scenario that runs in well under a minute), ``--out DIR`` (for release).
 ``--manifest PATH`` (write a RunManifest JSON, implies provenance
 collection), ``--workers N``, ``--store DIR`` (content-addressed artifact
 store; a re-run reuses every unchanged stage), ``--resources`` (sample per-stage
-CPU/RSS/GC deltas into the trace) and ``--blocker CONFIG_JSON`` (a
-three-element JSON config list building the Section-7 plan through the
-blocker registry — see :mod:`repro.blocking.factory`). ``serve`` takes
+CPU/RSS/GC deltas into the trace) and ``--plan CONFIG_JSON`` (a pipeline
+spec, inline JSON or ``@file`` — see :mod:`repro.plan`). ``serve`` takes
 ``--metrics-port N``
 (expose Prometheus ``/metrics`` + ``/healthz`` over HTTP, with ``proc:*``
 gauges from a background resource sampler) and ``--linger-seconds X``
@@ -69,17 +68,6 @@ def _load_json_arg(raw: str):
     return json.loads(raw)
 
 
-def _parse_blocker_configs(raw: str):
-    """``--blocker`` payload -> blocker list via the factory registry.
-
-    Accepts one config object or a list of three; a path to a JSON file
-    is accepted too (starts with ``@``).
-    """
-    from .blocking import create_blockers
-
-    return create_blockers(_load_json_arg(raw))
-
-
 def _parse_plan_spec(raw: str):
     """``--plan`` payload -> :class:`repro.plan.PipelineSpec`.
 
@@ -91,37 +79,9 @@ def _parse_plan_spec(raw: str):
 
 
 def _plan_from_args(args: argparse.Namespace):
-    """Resolve ``--plan`` / deprecated ``--blocker`` into one spec.
-
-    ``--blocker`` warns and delegates: the configs are substituted into
-    the Figure-10 spec, so both flags drive the same plan path.
-    """
+    """The ``--plan`` spec, or ``None`` for the built-in Figure-10 plan."""
     plan_json = getattr(args, "plan", None)
-    blocker_json = getattr(args, "blocker", None)
-    if plan_json is not None and blocker_json is not None:
-        raise SystemExit(
-            "--plan and --blocker are mutually exclusive "
-            "(--blocker is deprecated; fold the blockers into the plan)"
-        )
-    if plan_json is not None:
-        return _parse_plan_spec(plan_json)
-    if blocker_json is not None:
-        import warnings
-
-        warnings.warn(
-            "--blocker is deprecated; use --plan with a pipeline spec "
-            "(the blocker configs are being folded into the Figure-10 "
-            "plan for you)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .plan import figure10_spec
-
-        payload = _load_json_arg(blocker_json)
-        if isinstance(payload, dict):
-            payload = [payload]
-        return figure10_spec(blockers=payload)
-    return None
+    return _parse_plan_spec(plan_json) if plan_json is not None else None
 
 
 def _cmd_casestudy(args: argparse.Namespace) -> int:
@@ -377,12 +337,6 @@ def main(argv: list[str] | None = None) -> int:
                                 "spec: an inline PipelineSpec JSON document "
                                 "or @path/to/spec.json (see "
                                 "examples/figure10.json)")
-    casestudy.add_argument("--blocker", metavar="CONFIG_JSON",
-                           help="deprecated: use --plan. Replaces the "
-                                "Section-7 blocking plan with blockers built "
-                                "by the registry factory: a JSON list of "
-                                "three {kind, ...} configs "
-                                "(or @path/to/configs.json)")
     casestudy.add_argument("--resources", action="store_true",
                            help="sample per-stage CPU/RSS/GC deltas "
                                 "(recorded as resource trace events)")

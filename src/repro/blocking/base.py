@@ -12,7 +12,6 @@ from typing import Any
 
 from ..errors import BlockingError, IncrementalBlockingError
 from ..runtime.context import EngineSession, resolve_session
-from ..runtime.instrument import Instrumentation
 from ..table import Table
 from ..table.catalog import validate_key
 from .candidate_set import CandidateSet
@@ -24,33 +23,13 @@ class Blocker:
     Subclasses implement :meth:`_compute_blocking`, which receives the
     resolved :class:`~repro.runtime.context.EngineSession` and returns the
     candidate set. The public :meth:`block_tables` is the shared driver:
-    it resolves the session (ambient ``with EngineSession(...)`` scope,
-    or a transient stand-in built from the legacy kwargs) and executes
-    through ``session.run_stage`` — one implementation of the store
-    memoization, chunk dispatch and tracing glue that each blocker
-    previously re-threaded.
-
-    The keyword-only runtime knobs are **deprecated shims** kept for
-    pre-session call sites; ``None`` always means "inherit from the
-    ambient session":
-
-    ``workers``
-        Process count for chunk-parallel evaluation. Blockers without a
-        parallel path accept and ignore higher values. Parallel results
-        are identical to serial.
-    ``instrumentation``
-        Optional :class:`~repro.runtime.instrument.Instrumentation` that
-        receives stage timings and pair counters.
-    ``store``
-        Optional :class:`~repro.store.store.ArtifactStore`. When
-        resolved (directly or from the session), the blocker is memoized
-        by the content fingerprints of its config and both input tables
-        (see :class:`repro.store.stages.BlockStage`).
-    ``pool``
-        Optional shared :class:`~repro.runtime.executor.WorkerPool`. When
-        given it supplies the worker processes (overriding ``workers``)
-        and is reused across stages; the caller owns its lifetime.
-        Results are identical with or without it.
+    it resolves the session (the explicit ``session=``, else the ambient
+    ``with EngineSession(...)`` scope, else a default serial session) and
+    executes through ``session.run_stage`` — one implementation of the
+    store memoization (see :class:`repro.store.stages.BlockStage`), chunk
+    dispatch and tracing glue. The session's workers and pool drive
+    chunk-parallel evaluation; blockers without a parallel path ignore
+    them, and parallel results are identical to serial.
     """
 
     #: Subclasses set this for nicer candidate-set names.
@@ -113,10 +92,6 @@ class Blocker:
         r_key: str,
         name: str = "",
         *,
-        workers: int | None = None,
-        instrumentation: Instrumentation | None = None,
-        store: "Any | None" = None,
-        pool: "Any | None" = None,
         session: EngineSession | None = None,
     ) -> CandidateSet:
         """Produce the candidate set for (ltable, rtable)."""
@@ -125,14 +100,7 @@ class Blocker:
         # time.
         from ..store.stages import BlockStage
 
-        resolved = resolve_session(
-            session,
-            workers=workers,
-            instrumentation=instrumentation,
-            store=store,
-            pool=pool,
-        )
-        return resolved.run_stage(
+        return resolve_session(session).run_stage(
             BlockStage(self, ltable, rtable, l_key, r_key, name=name)
         )
 

@@ -29,7 +29,7 @@ import numpy as np
 from ..errors import BlockingError
 from ..runtime.context import EngineSession, StageOperator, resolve_session
 from ..runtime.executor import chunk_ranges
-from ..runtime.instrument import Instrumentation, count, stage
+from ..runtime.instrument import count, stage
 from ..table import Table
 from ..text.normalize import normalize_title
 from ..text.tokenizers import whitespace
@@ -135,9 +135,6 @@ def down_sample(
     b_size: int,
     a_size: int,
     rng: np.random.Generator,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    pool: "object | None" = None,
     *,
     session: EngineSession | None = None,
 ) -> tuple[Table, Table]:
@@ -147,13 +144,7 @@ def down_sample(
     (over *attrs*, word-tokenized and normalized) with the B sample,
     breaking ties toward earlier rows. A records sharing no tokens are
     only used to pad up to *a_size* when too few candidates exist.
-
-    ``workers``/``instrumentation``/``pool`` are deprecated shims over the
-    ambient :class:`~repro.runtime.context.EngineSession`.
     """
-    resolved = resolve_session(
-        session, workers=workers, instrumentation=instrumentation, pool=pool
-    )
-    return resolved.run_stage(
+    return resolve_session(session).run_stage(
         DownSampleStage(table_a, table_b, attrs, b_size, a_size, rng)
     )

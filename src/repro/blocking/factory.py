@@ -3,8 +3,8 @@
 Panda-style EM systems assume a *catalog* of blockers users select from
 declaratively; until now ours could only be constructed in Python. This
 module gives every blocker a registered kind name and a JSON-shaped
-config so the CLI (``casestudy --blocker``) and the serving bootstrap can
-build blocking plans from data:
+config so pipeline specs (``casestudy --plan``) and the serving bootstrap
+can build blocking plans from data:
 
     >>> create_blocker({"kind": "overlap", "l_attr": "AwardTitle",
     ...                 "r_attr": "AwardTitle", "threshold": 3,

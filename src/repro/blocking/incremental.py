@@ -262,8 +262,8 @@ class _TokenIncrementalBlocking(IncrementalBlocking):
         session: EngineSession | None = None,
     ) -> None:
         super().__init__(blocker, rtable, l_key, r_key, session=session)
-        resolved = resolve_session(session)
-        self._cache = resolved.token_cache
+        self._session = resolve_session(session)
+        self._cache = self._session.token_cache
         blocker._validate_table(rtable, r_key, blocker.r_attr)
         r_entries = self._cache.token_ids_by_id(
             rtable, blocker.r_attr, r_key, blocker.tokenizer, blocker.normalizer
@@ -283,7 +283,7 @@ class _TokenIncrementalBlocking(IncrementalBlocking):
             table, blocker.l_attr, self.l_key, blocker.tokenizer, blocker.normalizer
         )
         lids, probes, entries = blocker._left_probes(
-            l_entries, self._doc_freq, frozenset(), cache.vocabulary.token_of, None
+            l_entries, self._doc_freq, frozenset(), self._session
         )
         delta = probe_records(
             lids,

@@ -166,8 +166,7 @@ class TokenBlocker(Blocker):
         l_entries: Mapping[Any, Any],
         doc_freq: Mapping[int, int],
         capped: frozenset,
-        token_of: Callable[[int], str],
-        instrumentation: Any,
+        session: EngineSession,
     ) -> tuple[list[Any], list[Any], list[Any]]:
         """``(lids, probe arrays, entries)`` of the left records that probe.
 
@@ -177,7 +176,9 @@ class TokenBlocker(Blocker):
         no candidates); it is recorded only under a capping policy.
         """
         entries = list(l_entries.values())
-        lists = self._probe_lists(entries, doc_freq, token_of)
+        lists = self._probe_lists(
+            entries, doc_freq, session.token_cache.vocabulary.token_of
+        )
         lids: list[Any] = []
         probes: list[Any] = []
         kept: list[Any] = []
@@ -192,7 +193,7 @@ class TokenBlocker(Blocker):
             probes.append(probe)
             kept.append(entry)
         if self.block_size_policy.capped:
-            count(instrumentation, "capped_records", stranded)
+            count(session.instrumentation, "capped_records", stranded)
         return lids, probes, kept
 
     def incremental(
@@ -254,11 +255,7 @@ class TokenBlocker(Blocker):
             capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
         with stage(instrumentation, "probe"):
             lids, probes, entries = self._left_probes(
-                l_entries,
-                doc_freq,
-                capped,
-                session.token_cache.vocabulary.token_of,
-                instrumentation,
+                l_entries, doc_freq, capped, session
             )
             l_col = TokenColumn.from_entries(entries)
             rids = tuple(r_entries)

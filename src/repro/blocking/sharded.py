@@ -292,11 +292,7 @@ class _ShardedLayout:
             doc_freq = dict(zip(present.tolist(), freq[present].tolist()))
             capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
             lids, probes, entries = self._left_probes(
-                l_entries,
-                doc_freq,
-                capped,
-                session.token_cache.vocabulary.token_of,
-                instrumentation,
+                l_entries, doc_freq, capped, session
             )
         if not lids:
             count(instrumentation, "pairs_out", 0)

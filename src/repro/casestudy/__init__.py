@@ -17,7 +17,7 @@ from ..datasets.scenario import Scenario, ScenarioConfig, generate_scenario
 from ..labeling.oracle import ExpertOracle
 from ..runtime.context import EngineSession
 from ..runtime.executor import WorkerPool
-from ..runtime.instrument import Instrumentation, stage
+from ..runtime.instrument import stage
 from .accuracy import AccuracyOutcome, run_accuracy_estimation
 from .blocking_plan import BlockingOutcome, run_blocking, threshold_sweep
 from .matching import MatchingOutcome, base_feature_set, run_matching
@@ -71,47 +71,27 @@ class CaseStudyRun:
     Stages are cached properties computed on first access, in dependency
     order; a bench that only needs blocking never pays for matching.
 
-    An optional :class:`~repro.store.store.ArtifactStore` makes the run
-    incremental *across processes*: a second run over the same scenario
-    (or a patched variant) reuses every blocking / feature-extraction /
-    prediction artifact whose input fingerprints are unchanged.
-
-    Telemetry is equally optional: an ``instrumentation`` handle (plain
-    or a :class:`~repro.obs.trace.TracingInstrumentation`) collects one
-    stage subtree per section — each stage property materializes its
-    dependencies *before* opening its own stage, so the tree shape does
-    not depend on which property is accessed first — ``workers`` fans the
-    hot paths over a process pool, and ``provenance=True`` records
-    per-pair match lineage on the updated/final workflows (see
+    Every capability is carried by one
+    :class:`~repro.runtime.context.EngineSession`: pass ``session=`` to
+    supply it, or let the run own a default serial
+    ``EngineSession(seed=config.seed)``. The session's store makes the run
+    incremental *across processes* (a re-run reuses every blocking /
+    feature-extraction / prediction artifact whose input fingerprints are
+    unchanged); its instrumentation collects one stage subtree per
+    section — each stage property materializes its dependencies *before*
+    opening its own stage, so the tree shape does not depend on which
+    property is accessed first; its workers fan the hot paths over one
+    shared process pool; and its provenance policy records per-pair match
+    lineage on the updated/final workflows (see
     :meth:`~repro.casestudy.CombinedWorkflowOutcome.explain_pair`). A
     finished run serializes to a machine-readable record via
     :meth:`repro.obs.manifest.RunManifest.from_case_study`.
-
-    Every capability is carried by one
-    :class:`~repro.runtime.context.EngineSession`: pass ``session=`` to
-    supply it directly (its workers/store/instrumentation/provenance are
-    mirrored onto the matching run attributes, so manifests keep
-    working), or keep using the legacy
-    ``workers``/``store``/``instrumentation``/``provenance``/``pool``
-    fields, which are deprecated shims the run folds into an owned
-    session on first use. The session's pool is opened once and shared
-    across every stage (blocking probes, all feature extractions), so
-    process startup is paid once per run; :meth:`close` (or using the
-    run as a context manager) releases everything the run owns — a
-    supplied ``session`` or ``pool`` is the caller's to close.
+    :meth:`close` (or using the run as a context manager) releases the
+    run-owned session; a supplied ``session`` is the caller's to close.
     """
 
     config: ScenarioConfig = field(default_factory=ScenarioConfig)
-    store: "object | None" = None
-    workers: int = 1
-    instrumentation: Instrumentation | None = None
-    provenance: bool = False
-    pool: WorkerPool | None = None
     session: EngineSession | None = None
-    #: Optional custom Section-7 plan (exactly three blockers, C1/C2/C3
-    #: order) — e.g. from ``repro.blocking.create_blockers``; ``None``
-    #: runs the paper recipe. Deprecated in favour of ``plan``.
-    blockers: "list | None" = None
     #: Optional full pipeline plan (:class:`repro.plan.PipelineSpec`) —
     #: e.g. ``PipelineSpec.load("examples/figure10.json")``. Drives the
     #: Section-7 blocking recipe *and* the Section-10/12 combined
@@ -121,30 +101,14 @@ class CaseStudyRun:
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.session is not None:
-            # Mirror the session's fields so existing readers (manifests,
-            # reports, tests) see the effective configuration.
-            self.workers = self.session.workers
-            self.instrumentation = self.session.instrumentation
-            self.store = self.session.store
-            self.provenance = self.session.provenance
-
     @property
     def engine_session(self) -> EngineSession:
         """The session every stage runs under: the injected one, else a
-        run-owned session folded from the legacy fields on first use."""
+        run-owned serial session created on first use."""
         if self.session is not None:
             return self.session
         if self._owned_session is None:
-            self._owned_session = EngineSession(
-                workers=self.workers,
-                store=self.store,
-                instrumentation=self.instrumentation,
-                provenance=self.provenance,
-                pool=self.pool,
-                seed=self.config.seed,
-            )
+            self._owned_session = EngineSession(seed=self.config.seed)
         return self._owned_session
 
     @property
@@ -152,24 +116,21 @@ class CaseStudyRun:
         """The pool shared by every stage (``None`` for serial runs)."""
         return self.engine_session.worker_pool
 
+    def _stage(self, name: str):
+        return stage(self.engine_session.instrumentation, name)
+
     @property
     def effective_plan(self):
         """The pipeline spec this run executes: ``plan``, else the paper
-        recipe (with ``blockers`` substituted when given)."""
+        recipe."""
         from ..plan.figure10 import figure10_spec
 
-        if self.plan is not None:
-            return self.plan
-        if self.blockers is not None:
-            return figure10_spec(blockers=self.blockers)
-        return figure10_spec()
+        return self.plan if self.plan is not None else figure10_spec()
 
     @property
     def _plan_blockers(self) -> "list | None":
         """Section-7 blockers derived from the plan (``None`` = paper
         recipe, letting :func:`run_blocking` use ``make_blockers``)."""
-        if self.blockers is not None:
-            return list(self.blockers)
         if self.plan is not None:
             from ..plan.figure10 import recipe_from_spec
 
@@ -195,7 +156,7 @@ class CaseStudyRun:
 
     def close(self) -> None:
         """Release the run-owned session and its worker pool (idempotent;
-        an injected ``session`` or ``pool`` is the caller's to close)."""
+        an injected ``session`` is the caller's to close)."""
         owned, self._owned_session = self._owned_session, None
         if owned is not None:
             owned.close()
@@ -208,7 +169,7 @@ class CaseStudyRun:
 
     @cached_property
     def scenario(self) -> Scenario:
-        with stage(self.instrumentation, "generate_scenario"):
+        with self._stage("generate_scenario"):
             return generate_scenario(self.config)
 
     # ------------------------------------------------------------ §6
@@ -216,27 +177,27 @@ class CaseStudyRun:
     def projected(self) -> ProjectedTables:
         """First-pass projected tables (no ProjectNumber yet)."""
         scenario = self.scenario
-        with stage(self.instrumentation, "preprocess"):
+        with self._stage("preprocess"):
             return preprocess(scenario, include_project_number=False)
 
     @cached_property
     def projected_v2(self) -> ProjectedTables:
         """Section-10 revision: USDAProjected gains ProjectNumber."""
         scenario = self.scenario
-        with stage(self.instrumentation, "preprocess"):
+        with self._stage("preprocess"):
             return preprocess(scenario, include_project_number=True)
 
     @cached_property
     def projected_extra(self) -> ProjectedTables:
         scenario = self.scenario
-        with stage(self.instrumentation, "preprocess"):
+        with self._stage("preprocess"):
             return preprocess_extra(scenario, include_project_number=True)
 
     # ------------------------------------------------------------ §7
     @cached_property
     def blocking(self) -> BlockingOutcome:
         tables = self.projected
-        with stage(self.instrumentation, "sec7:blocking"):
+        with self._stage("sec7:blocking"):
             return run_blocking(
                 tables, session=self.engine_session, blockers=self._plan_blockers
             )
@@ -245,7 +206,7 @@ class CaseStudyRun:
     def blocking_v2(self) -> BlockingOutcome:
         """Blocking over the revised projected tables (same blockers)."""
         tables = self.projected_v2
-        with stage(self.instrumentation, "sec7:blocking"):
+        with self._stage("sec7:blocking"):
             return run_blocking(
                 tables, session=self.engine_session, blockers=self._plan_blockers
             )
@@ -255,7 +216,7 @@ class CaseStudyRun:
     def labeling(self) -> LabelingOutcome:
         blocking = self.blocking_v2
         tables = self.projected
-        with stage(self.instrumentation, "sec8:labeling"):
+        with self._stage("sec8:labeling"):
             return run_sampling_and_labeling(
                 blocking.candidates,
                 tables.truth,
@@ -269,7 +230,7 @@ class CaseStudyRun:
         blocking = self.blocking_v2
         labeling = self.labeling
         tables = self.projected_v2
-        with stage(self.instrumentation, "sec9:matching"):
+        with self._stage("sec9:matching"):
             return run_matching(
                 blocking.candidates,
                 labeling.labels,
@@ -286,7 +247,7 @@ class CaseStudyRun:
         labeling = self.labeling
         matching = self.matching
         original, extra = self.projected_v2, self.projected_extra
-        with stage(self.instrumentation, stage_name):
+        with self._stage(stage_name):
             matcher = train_workflow_matcher(
                 blocking.candidates,
                 labeling.labels,
@@ -298,7 +259,6 @@ class CaseStudyRun:
                 original, extra,
                 labeling.labels, matching.feature_set, matcher,
                 with_negative_rules=with_negative_rules,
-                provenance=self.provenance,
                 session=self.engine_session,
                 plan=self.effective_plan,
             )
@@ -319,7 +279,7 @@ class CaseStudyRun:
     @cached_property
     def iris_matches(self) -> list[Pair]:
         v2, extra_tables = self.projected_v2, self.projected_extra
-        with stage(self.instrumentation, "iris_baseline"):
+        with self._stage("iris_baseline"):
             matcher = iris_matcher()
             original = matcher.predict_tables(
                 v2.umetrics, v2.usda, v2.l_key, v2.r_key,
@@ -338,7 +298,7 @@ class CaseStudyRun:
         updated = self.updated_workflow
         iris = self.iris_matches
         truth = self.combined_truth
-        with stage(self.instrumentation, "sec11:accuracy"):
+        with self._stage("sec11:accuracy"):
             authority, _, _ = make_oracles(truth, self.config.seed)
             return run_accuracy_estimation(
                 final.consolidated_candidates,
@@ -366,7 +326,7 @@ class CaseStudyRun:
 
         final = self.final_workflow
         truth = self.combined_truth
-        with stage(self.instrumentation, "sec12:monitoring"):
+        with self._stage("sec12:monitoring"):
             authority, _, _ = make_oracles(truth, self.config.seed)
             monitor = AccuracyMonitor(seed=self.config.seed)
             monitor.check_batch(

@@ -88,8 +88,8 @@ def run_blocking(
     stage) reuse one set of worker processes.
 
     *blockers* substitutes a custom three-blocker plan (e.g. built by
-    :func:`repro.blocking.create_blockers` from ``casestudy --blocker``
-    configs) for the paper's recipe; it must supply exactly three
+    :func:`repro.blocking.create_blockers`, or the block nodes of a
+    ``casestudy --plan`` spec) for the paper's recipe; it must supply exactly three
     blockers, applied in C1/C2/C3 order.
     """
     resolved = resolve_session(session)

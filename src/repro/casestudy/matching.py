@@ -37,7 +37,7 @@ from ..matchers import (
 )
 from ..rules.positive import ExactNumberRule, m1_rule
 from ..runtime.context import EngineSession, resolve_session
-from ..runtime.instrument import Instrumentation, stage
+from ..runtime.instrument import stage
 from .preprocess import ProjectedTables
 
 
@@ -102,10 +102,6 @@ def run_matching(
     labels: LabeledPairs,
     tables: ProjectedTables,
     seed: int = 45,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store=None,
-    pool=None,
     *,
     session: EngineSession | None = None,
 ) -> MatchingOutcome:
@@ -114,17 +110,9 @@ def run_matching(
     A session store memoizes the three feature extractions (training
     matrix, case-insensitive training matrix, prediction matrix) by
     content; the session's workers/instrumentation parallelize and time
-    those extractions plus the two cross-validated selections. The
-    ``workers``/``instrumentation``/``store``/``pool`` kwargs are
-    deprecated shims over the ambient session.
+    those extractions plus the two cross-validated selections.
     """
-    resolved = resolve_session(
-        session,
-        workers=workers,
-        instrumentation=instrumentation,
-        store=store,
-        pool=pool,
-    )
+    resolved = resolve_session(session)
     instrumentation = resolved.instrumentation
     features = base_feature_set(tables)
     sure = sure_match_pairs(candidates)

@@ -28,8 +28,7 @@ from ..plan.compile import compile_plan
 from ..plan.figure10 import drop_train_nodes, figure10_spec, strip_negative_rules
 from ..plan.spec import NodeSpec, PipelineSpec
 from ..rules.positive import award_project_rule, m1_rule
-from ..runtime.context import EngineSession, resolve_session
-from ..runtime.instrument import Instrumentation
+from ..runtime.context import EngineSession
 from ..table.ops import concat
 from .matching import sure_match_pairs
 from .preprocess import ProjectedTables
@@ -107,10 +106,6 @@ def train_workflow_matcher(
     labels: LabeledPairs,
     feature_set: FeatureSet,
     matcher: MLMatcher,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store=None,
-    pool=None,
     *,
     session: EngineSession | None = None,
 ) -> MLMatcher:
@@ -126,13 +121,6 @@ def train_workflow_matcher(
 
     A thin wrapper over a single plan ``train`` node (protocol
     ``workflow_matcher``) — the same node the Figure-10 spec runs."""
-    resolved = resolve_session(
-        session,
-        workers=workers,
-        instrumentation=instrumentation,
-        store=store,
-        pool=pool,
-    )
     spec = PipelineSpec(
         name="train_workflow_matcher",
         nodes=(
@@ -153,7 +141,7 @@ def train_workflow_matcher(
         outputs={"matcher": "matcher"},
     )
     result = compile_plan(spec).execute(
-        resolved,
+        session,
         inputs={
             "candidates": candidates,
             "labels": labels,
@@ -208,12 +196,8 @@ def run_combined_workflow(
     feature_set: FeatureSet,
     matcher: MLMatcher,
     with_negative_rules: bool = False,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store=None,
-    provenance: "bool | object | None" = None,
-    pool=None,
     *,
+    provenance: "bool | object | None" = None,
     session: EngineSession | None = None,
     plan: PipelineSpec | None = None,
 ) -> CombinedWorkflowOutcome:
@@ -237,22 +221,14 @@ def run_combined_workflow(
     artifact, since those stages' input fingerprints are unchanged.
     ``provenance=True`` (or a session with ``provenance=True``) records
     per-pair match lineage on both slices — each slice gets its own fresh
-    collector (see :meth:`CombinedWorkflowOutcome.explain_pair`); the
-    other kwargs are deprecated shims over the ambient session.
+    collector (see :meth:`CombinedWorkflowOutcome.explain_pair`).
     """
-    resolved = resolve_session(
-        session,
-        workers=workers,
-        instrumentation=instrumentation,
-        store=store,
-        pool=pool,
-    )
     spec = plan if plan is not None else figure10_spec()
     if not with_negative_rules:
         spec = strip_negative_rules(spec)
     spec = drop_train_nodes(spec)
     result = compile_plan(spec).execute(
-        resolved,
+        session,
         inputs={
             "tables": original,
             "extra_tables": extra,

@@ -38,7 +38,6 @@ from ..plan.spec import NodeSpec, PipelineSpec
 from ..rules.negative import ComparableMismatchRule
 from ..rules.positive import ExactNumberRule
 from ..runtime.context import EngineSession, resolve_session
-from ..runtime.instrument import Instrumentation
 from ..table import Table
 
 
@@ -180,12 +179,8 @@ class EMWorkflow:
         rtable: Table,
         l_key: str,
         r_key: str,
-        workers: int | None = None,
-        instrumentation: Instrumentation | None = None,
-        store=None,
-        provenance=None,
-        pool=None,
         *,
+        provenance=None,
         session: EngineSession | None = None,
     ) -> tuple[CandidateSet, CandidateSet, CandidateSet]:
         """Stages 1-3: returns (C1 sure matches, C2 blocked, C = C2 - C1).
@@ -196,26 +191,14 @@ class EMWorkflow:
 
         Each stage runs through ``session.run_stage``: with a store on
         the resolved session, the rule pass and every blocker are
-        memoized by the content fingerprints of their inputs (operators
-        are built here — not via a blocker kwarg — so third-party
-        blockers whose signatures predate the store still cache), and
-        with a provenance collector (explicit, or carried by the
-        session), each positive rule's pair set and each blocker's
-        output are recorded so ``explain_pair`` can name the exact
-        emitters of any candidate.
-
-        ``workers``/``instrumentation``/``store``/``pool`` are deprecated
-        shims over the ambient session (``None`` inherits).
+        memoized by the content fingerprints of their inputs, and with a
+        provenance collector (explicit, or carried by the session), each
+        positive rule's pair set and each blocker's output are recorded
+        so ``explain_pair`` can name the exact emitters of any candidate.
         """
         if not self.blockers and not self.positive_rules:
             raise WorkflowError(f"workflow {self.name!r} has no rules and no blockers")
-        resolved = resolve_session(
-            session,
-            workers=workers,
-            instrumentation=instrumentation,
-            store=store,
-            pool=pool,
-        )
+        resolved = resolve_session(session)
         collector = self._resolve_collector(provenance, resolved)
         env = self._plan_inputs(ltable, rtable, l_key, r_key)
         spec = PipelineSpec(
@@ -240,12 +223,8 @@ class EMWorkflow:
         r_key: str,
         matcher: MLMatcher,
         feature_set: FeatureSet,
-        workers: int | None = None,
-        instrumentation: Instrumentation | None = None,
-        store=None,
-        provenance: "bool | object | None" = None,
-        pool=None,
         *,
+        provenance: "bool | object | None" = None,
         session: EngineSession | None = None,
     ) -> WorkflowResult:
         """Run all stages with a *trained* matcher.
@@ -257,8 +236,8 @@ class EMWorkflow:
 
         *provenance* accepts a
         :class:`~repro.obs.provenance.MatchProvenance` collector (also
-        the form a session's ``provenance=`` carries), ``True`` as a shim
-        building a fresh per-run collector, ``False`` to force it off, or
+        the form a session's ``provenance=`` carries), ``True`` to build
+        a fresh per-run collector, ``False`` to force it off, or
         ``None`` to inherit the session policy. A collector records
         per-pair lineage — emitting blockers, firing positive rule,
         matcher score vs threshold, flipping negative rule — at the cost
@@ -272,13 +251,7 @@ class EMWorkflow:
                 f"workflow {self.name!r} needs a trained matcher; "
                 f"{matcher.name!r} is unfitted"
             )
-        resolved = resolve_session(
-            session,
-            workers=workers,
-            instrumentation=instrumentation,
-            store=store,
-            pool=pool,
-        )
+        resolved = resolve_session(session)
         collector = self._resolve_collector(provenance, resolved)
         nodes = self._candidate_nodes() + [
             NodeSpec(

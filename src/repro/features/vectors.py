@@ -28,8 +28,8 @@ expressions, and memoization only caches pure functions), which the
 parity tests assert against the loop kept in ``tests/blocking_reference.py``.
 
 ``extract_feature_vectors`` resolves an
-:class:`~repro.runtime.context.EngineSession` (ambient, or built from the
-deprecated ``workers=``/``pool=`` shims) and spreads contiguous
+:class:`~repro.runtime.context.EngineSession` (explicit or ambient) and
+spreads contiguous
 pair-index chunks over the session's process pool; chunks ship compact
 id arrays, and workers rebuild value-feature functions from their
 :attr:`~repro.features.feature.Feature.spec` recipes (the closures
@@ -53,7 +53,7 @@ from ..runtime.cache import TokenCache, lowercase
 from ..runtime.columnar import TokenColumn, gather_column
 from ..runtime.context import EngineSession, resolve_session
 from ..runtime.executor import WorkerPool, chunk_ranges
-from ..runtime.instrument import Instrumentation, count, stage
+from ..runtime.instrument import count, stage
 from ..similarity import batch
 from ..similarity.sequence import jaro_winkler
 from .feature import NAN, Feature, feature_from_spec
@@ -266,10 +266,6 @@ def extract_feature_vectors(
     candidates: CandidateSet,
     feature_set: FeatureSet,
     pairs: Sequence[Pair] | None = None,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store=None,
-    pool: WorkerPool | None = None,
     *,
     session: EngineSession | None = None,
 ) -> FeatureMatrix:
@@ -282,21 +278,14 @@ def extract_feature_vectors(
     result is identical to the serial computation — and a session with a
     store memoizes the extraction by the content fingerprints of the base
     tables, the pair list and the feature-set recipes.
-    ``workers``/``instrumentation``/``store``/``pool`` are deprecated
-    shims over the ambient session (``None`` inherits).
     """
     # Lazy import: the store's codecs build FeatureMatrix objects from
     # this module.
     from ..store.stages import ExtractStage
 
-    resolved = resolve_session(
-        session,
-        workers=workers,
-        instrumentation=instrumentation,
-        store=store,
-        pool=pool,
+    return resolve_session(session).run_stage(
+        ExtractStage(candidates, feature_set, pairs=pairs)
     )
-    return resolved.run_stage(ExtractStage(candidates, feature_set, pairs=pairs))
 
 
 def _extract_impl(
@@ -328,7 +317,7 @@ def _extract_impl(
         functions = [f.function for f in features]
         if parallel_ok:
             values = _extract_kernel_parallel(
-                columns, token_map, n, d, workers, instrumentation, pool, functions
+                columns, token_map, n, d, session, functions
             )
         else:
             values = _extract_kernel_chunk(n, columns, token_map, functions)
@@ -340,9 +329,7 @@ def _extract_kernel_parallel(
     token_map: dict[int, str],
     n: int,
     d: int,
-    workers: int,
-    instrumentation: Instrumentation | None,
-    pool: WorkerPool | None,
+    session: EngineSession,
     functions: list[Any],
 ) -> np.ndarray:
     """Parallel kernel extraction with the mel columns kept in the parent.
@@ -356,6 +343,9 @@ def _extract_kernel_parallel(
     workers run*, then scatters both into the result. Any pool failure
     recomputes the submitted columns inline — identical either way.
     """
+    workers = session.workers
+    instrumentation = session.instrumentation
+    pool = session.worker_pool
     effective = workers if workers > 1 else (pool.workers if pool else 1)
     mel_idx = [j for j, c in enumerate(columns) if c[0] == "mel"]
     rest_idx = [j for j, c in enumerate(columns) if c[0] != "mel"]

@@ -207,10 +207,12 @@ class RunManifest:
             if extra is not None:
                 violations.extend(extra.validate())
             counts["provenance_violations"] = len(violations)
+        session = run.engine_session
+        instrumentation = session.instrumentation
         registry = collect_metrics(
-            instrumentation=run.instrumentation,
+            instrumentation=instrumentation,
             cache=get_default_cache(),
-            store=run.store,
+            store=session.store,
         )
         monitor = run.monitoring
         return cls(
@@ -220,8 +222,8 @@ class RunManifest:
             config=jsonable(dataclasses.asdict(run.config)),
             counts=counts,
             stages=(
-                stage_timings(run.instrumentation.root)
-                if run.instrumentation is not None
+                stage_timings(instrumentation.root)
+                if instrumentation is not None
                 else {}
             ),
             metrics=registry.snapshot(),

@@ -15,9 +15,9 @@ Underneath it, three small pieces, all opt-in:
 * :mod:`~repro.runtime.instrument` — nestable stage timers/counters with a
   text :class:`~repro.runtime.instrument.StageReport` renderer.
 
-Every public entry point that grew a ``workers=`` / ``instrumentation=``
-argument defaults to ``workers=1, instrumentation=None``, which is the
-pre-runtime behaviour exactly.
+Every public entry point takes a keyword-only ``session=``; without one
+(and without an ambient session) it runs under a default serial
+``EngineSession()`` — no pool, no store, no instrumentation.
 """
 
 from .cache import CacheStats, InternedTokens, TokenCache, get_default_cache
@@ -33,7 +33,6 @@ from .executor import (
     ChunkedExecutor,
     WorkerPool,
     chunk_ranges,
-    ensure_pool,
 )
 from .instrument import (
     ChunkRecord,
@@ -62,7 +61,6 @@ __all__ = [
     "chunk_ranges",
     "count",
     "current_session",
-    "ensure_pool",
     "get_default_cache",
     "merge_siblings",
     "resolve_session",

@@ -23,11 +23,9 @@ Sessions install themselves as the ambient default via a
         run_combined_workflow(...)
 
 and every stage resolves the same pool/store/trace context with zero
-keyword threading. The legacy ``workers=`` / ``instrumentation=`` /
-``store=`` / ``pool=`` arguments survive as thin shims: each public entry
-point passes them to :func:`resolve_session`, which returns the ambient
-session, a derived override of it, or a transient stand-in that behaves
-exactly like the pre-session code path.
+keyword threading. Each public entry point takes one keyword-only
+``session=`` and passes it to :func:`resolve_session`: the explicit
+session, else the ambient one, else a default serial session.
 
 The second half of this module is the **stage-operator protocol**
 (:class:`StageOperator` + :meth:`EngineSession.run_stage`): the one
@@ -188,11 +186,6 @@ class EngineSession:
         self._pid = os.getpid()
         self._tokens: list[Any] = []
         self._closed = False
-        #: Transient sessions (built by :func:`resolve_session` to stand in
-        #: for legacy kwargs) never own a persistent pool: parallel maps
-        #: fall back to the executor's historical per-call pools, so
-        #: nothing outlives the call that asked for it.
-        self._transient = False
         if trace_path is not None:
             if instrumentation is not None:
                 raise ValueError(
@@ -221,8 +214,8 @@ class EngineSession:
         """The pool every stage shares.
 
         The injected pool when one was given; otherwise a lazily created
-        session-owned pool (persistent sessions with ``workers > 1``
-        only). Fork-started worker processes inherit the session object
+        session-owned pool (open sessions with ``workers > 1`` only).
+        Fork-started worker processes inherit the session object
         but must never touch the parent's pool handle, so a PID check
         returns ``None`` in children.
         """
@@ -230,7 +223,7 @@ class EngineSession:
             return None
         if self._injected_pool is not None:
             return self._injected_pool
-        if self.workers > 1 and not self._transient and not self._closed:
+        if self.workers > 1 and not self._closed:
             if self._owned_pool is None:
                 self._owned_pool = WorkerPool(self.workers)
             return self._owned_pool
@@ -270,30 +263,6 @@ class EngineSession:
             _CURRENT.reset(self._tokens.pop())
         if not self._tokens:
             self.close()
-
-    # ------------------------------------------------------------------
-    # derivation (the legacy-kwarg shim)
-    # ------------------------------------------------------------------
-    def derive(self, **overrides: Any) -> "EngineSession":
-        """A transient view of this session with some fields overridden.
-
-        Shares the base session's pool, store, cache and telemetry unless
-        overridden; owns nothing (closing a derived session never touches
-        the base session's resources), so it is safe to build one per
-        legacy-kwarg call.
-        """
-        derived = EngineSession(
-            workers=overrides.get("workers", self.workers),
-            store=overrides.get("store", self.store),
-            instrumentation=overrides.get("instrumentation", self.instrumentation),
-            metrics=overrides.get("metrics", self.metrics),
-            provenance=overrides.get("provenance", self.provenance),
-            seed=overrides.get("seed", self.seed),
-            pool=overrides.get("pool", self.worker_pool),
-            token_cache=overrides.get("token_cache", self.token_cache),
-        )
-        derived._transient = True
-        return derived
 
     # ------------------------------------------------------------------
     # the one stage-execution path
@@ -360,49 +329,11 @@ class EngineSession:
         return f"EngineSession({', '.join(bits)})"
 
 
-def resolve_session(
-    session: EngineSession | None = None,
-    *,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    store: Any = None,
-    pool: WorkerPool | None = None,
-    provenance: Any = None,
-    seed: int | None = None,
-) -> EngineSession:
-    """The session a legacy-kwarg call site should execute under.
-
-    Resolution order:
-
-    1. an explicitly passed *session* (with any legacy kwargs layered on
-       top as overrides);
-    2. the ambient :func:`current_session`, derived when legacy kwargs
-       override any of its fields;
-    3. a fresh transient session built purely from the legacy kwargs —
-       behaviourally identical to the pre-session code path.
-
-    ``None`` always means *inherit*: the legacy defaults (``workers=1``,
-    no store, no instrumentation) are exactly what an empty session
-    resolves to, so existing calls are unchanged bit for bit.
-    """
-    overrides: dict[str, Any] = {}
-    if workers is not None:
-        overrides["workers"] = workers
-    if instrumentation is not None:
-        overrides["instrumentation"] = instrumentation
-    if store is not None:
-        overrides["store"] = store
-    if pool is not None:
-        overrides["pool"] = pool
-    if provenance is not None:
-        overrides["provenance"] = provenance
-    if seed is not None:
-        overrides["seed"] = seed
-    base = session if session is not None else current_session()
-    if base is None:
-        resolved = EngineSession(**overrides)
-        resolved._transient = True
-        return resolved
-    if not overrides:
-        return base
-    return base.derive(**overrides)
+def resolve_session(session: EngineSession | None = None) -> EngineSession:
+    """The session an entry point executes under: the explicit *session*,
+    else the ambient :func:`current_session`, else a default serial
+    ``EngineSession()`` (no store, no instrumentation, no pool)."""
+    if session is not None:
+        return session
+    ambient = current_session()
+    return ambient if ambient is not None else EngineSession()

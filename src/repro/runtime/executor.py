@@ -45,8 +45,7 @@ import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from .instrument import Instrumentation
 
@@ -259,29 +258,6 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-@contextmanager
-def ensure_pool(workers: int, pool: WorkerPool | None = None) -> Iterator[WorkerPool | None]:
-    """Yield a shared pool for a run, owning its lifetime only if created here.
-
-    * *pool* given: yield it untouched (the caller who created it shuts it
-      down);
-    * ``workers > 1``: create a :class:`WorkerPool`, yield it, and shut it
-      down when the block exits;
-    * otherwise: yield ``None`` (strictly serial runs never build a pool).
-    """
-    if pool is not None:
-        yield pool
-        return
-    if workers > 1:
-        created = WorkerPool(workers)
-        try:
-            yield created
-        finally:
-            created.shutdown()
-        return
-    yield None
 
 
 class ChunkedExecutor:

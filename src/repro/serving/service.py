@@ -137,8 +137,8 @@ class MatchService:
         otherwise — no silent full re-blocks). Each blocker may be an
         instance or a declarative config (a mapping /
         :class:`~repro.blocking.factory.BlockerConfig`) built through
-        the registry, so a service bootstrap can share the exact config
-        file the CLI's ``--blocker`` flag consumes.
+        the registry, so a service bootstrap can share the exact block
+        configs the CLI's ``--plan`` spec carries.
     session:
         The long-lived :class:`~repro.runtime.context.EngineSession` the
         service binds to (ambient session when ``None``). The session

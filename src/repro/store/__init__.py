@@ -1,9 +1,9 @@
 """Content-addressed artifact store for incremental workflow re-execution.
 
-Create an :class:`ArtifactStore` over a directory and pass it as the
-opt-in ``store=`` argument of :class:`~repro.core.workflow.EMWorkflow`,
-the blockers, :func:`~repro.features.vectors.extract_feature_vectors` or
-the case-study entry points. Re-running a patched workflow then recomputes
+Create an :class:`ArtifactStore` over a directory and hand it to an
+:class:`~repro.runtime.context.EngineSession` (``EngineSession(store=...)``);
+every stage run under that session — blocking, feature extraction,
+prediction, the case-study entry points — is memoized. Re-running a patched workflow then recomputes
 only the stages whose input fingerprints changed;
 :meth:`ArtifactStore.explain` reports what was reused and why. See
 ``docs/store.md``.
@@ -41,7 +41,6 @@ from .fingerprint import (
     segment_bounds,
 )
 from .segments import SegmentBlockStage, segmented_block
-from .stages import cached_block, cached_extract, cached_predict, cached_sure_matches
 from .store import ArtifactStore, StoreEvent, StoreStats
 
 __all__ = [
@@ -77,8 +76,4 @@ __all__ = [
     "fingerprint_labels",
     "fingerprint_matcher",
     "fingerprint_matrix",
-    "cached_block",
-    "cached_sure_matches",
-    "cached_extract",
-    "cached_predict",
 ]

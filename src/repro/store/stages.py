@@ -19,18 +19,13 @@ the store package may depend on them but not the other way around.
 cache key: the chunked executor guarantees parallel results are
 bit-identical to serial ones, so a stage computed with 8 workers is the
 same artifact as one computed with 1.
-
-The ``cached_*`` functions survive as deprecated shims for callers that
-predate sessions; each builds the matching operator and runs it through
-:func:`~repro.runtime.context.resolve_session`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..runtime.context import StageOperator, resolve_session
-from ..runtime.instrument import Instrumentation
+from ..runtime.context import StageOperator
 from .codecs import CANDIDATES, FEATURE_MATRIX, PAIR_LIST
 from .fingerprint import (
     fingerprint_blocker,
@@ -92,23 +87,7 @@ class BlockStage(StageOperator):
         return {"ltable": self.ltable, "rtable": self.rtable, "name": self.name}
 
     def compute(self, session) -> Any:
-        from ..blocking.base import Blocker
-
-        blocker = self.blocker
-        if (
-            type(blocker)._compute_blocking is Blocker._compute_blocking
-            and type(blocker).block_tables is not Blocker.block_tables
-        ):
-            # Third-party blocker predating the session protocol: its own
-            # ``block_tables`` override *is* the compute. Call it with the
-            # legacy kwargs (no store — memoization already happened here).
-            return blocker.block_tables(
-                self.ltable, self.rtable, self.l_key, self.r_key, self.name,
-                workers=session.workers,
-                instrumentation=session.instrumentation,
-                pool=session.worker_pool,
-            )
-        return blocker._compute_blocking(
+        return self.blocker._compute_blocking(
             session, self.ltable, self.rtable, self.l_key, self.r_key, self.name
         )
 
@@ -305,75 +284,3 @@ class PredictStage(StageOperator):
 
     def compute(self, session) -> list:
         return self.matcher.predict_matches(self.matrix)
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-session shims
-# ----------------------------------------------------------------------
-def cached_block(
-    store: Any,
-    blocker: Any,
-    ltable: Any,
-    rtable: Any,
-    l_key: str,
-    r_key: str,
-    *,
-    name: str = "",
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    pool: Any | None = None,
-) -> Any:
-    """Deprecated: build a session and run a :class:`BlockStage`."""
-    session = resolve_session(
-        workers=workers, instrumentation=instrumentation, store=store, pool=pool
-    )
-    return session.run_stage(
-        BlockStage(blocker, ltable, rtable, l_key, r_key, name=name)
-    )
-
-
-def cached_sure_matches(
-    store: Any,
-    rules: Sequence[Any],
-    ltable: Any,
-    rtable: Any,
-    l_key: str,
-    r_key: str,
-    *,
-    name: str = "sure_matches",
-    instrumentation: Instrumentation | None = None,
-) -> Any:
-    """Deprecated: build a session and run a :class:`SureMatchStage`."""
-    session = resolve_session(instrumentation=instrumentation, store=store)
-    return session.run_stage(
-        SureMatchStage(rules, ltable, rtable, l_key, r_key, name=name)
-    )
-
-
-def cached_extract(
-    store: Any,
-    candidates: Any,
-    feature_set: Any,
-    *,
-    pairs: Sequence[Any] | None = None,
-    workers: int | None = None,
-    instrumentation: Instrumentation | None = None,
-    pool: Any | None = None,
-) -> Any:
-    """Deprecated: build a session and run an :class:`ExtractStage`."""
-    session = resolve_session(
-        workers=workers, instrumentation=instrumentation, store=store, pool=pool
-    )
-    return session.run_stage(ExtractStage(candidates, feature_set, pairs=pairs))
-
-
-def cached_predict(
-    store: Any,
-    matcher: Any,
-    matrix: Any,
-    *,
-    instrumentation: Instrumentation | None = None,
-) -> list:
-    """Deprecated: build a session and run a :class:`PredictStage`."""
-    session = resolve_session(instrumentation=instrumentation, store=store)
-    return session.run_stage(PredictStage(matcher, matrix))

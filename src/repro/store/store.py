@@ -23,9 +23,8 @@ Layout under ``root/``::
     manifest.json                  # stage label -> last {digest, parts}
     index.json                     # LRU bookkeeping for eviction
 
-Stores are optional everywhere: every ``store=`` parameter in the toolkit
-defaults to ``None``, and a storeless run is bit-identical to the
-pre-store behaviour.
+Stores are optional everywhere: a session's ``store`` defaults to
+``None``, and a storeless run is bit-identical to a stored one.
 """
 
 from __future__ import annotations

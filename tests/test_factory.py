@@ -1,4 +1,4 @@
-"""Blocker registry / config factory, and the CLI ``--blocker`` path.
+"""Blocker registry / config factory, and the CLI ``--plan`` parsing.
 
 The load-bearing assertion: building the Section-7 plan from
 :func:`default_plan_configs` through the registry reproduces the
@@ -166,20 +166,24 @@ class TestDefaultPlanGolden:
 
 
 class TestCLIBlockerFlag:
-    def test_inline_json_and_file_agree(self, tmp_path):
-        from repro.__main__ import _parse_blocker_configs
+    """Blocker configs reach the CLI folded into a ``--plan`` spec."""
 
-        raw = json.dumps(default_plan_configs())
-        inline = _parse_blocker_configs(raw)
+    def test_inline_json_and_file_agree(self, tmp_path):
+        from repro.__main__ import _parse_plan_spec
+        from repro.plan import figure10_spec, recipe_from_spec
+
+        raw = figure10_spec(blockers=default_plan_configs()).to_json()
+        inline = _parse_plan_spec(raw)
         path = tmp_path / "plan.json"
         path.write_text(raw)
-        from_file = _parse_blocker_configs(f"@{path}")
-        assert [type(b) for b in inline] == [type(b) for b in from_file] == [
+        from_file = _parse_plan_spec(f"@{path}")
+        assert inline == from_file == figure10_spec()
+        assert [type(b) for b in recipe_from_spec(inline).blockers] == [
             AttrEquivalenceBlocker, OverlapBlocker, OverlapCoefficientBlocker
         ]
 
     def test_bad_json_fails_loudly(self):
-        from repro.__main__ import _parse_blocker_configs
+        from repro.__main__ import _parse_plan_spec
 
         with pytest.raises(Exception):
-            _parse_blocker_configs("{not json")
+            _parse_plan_spec("{not json")

@@ -347,31 +347,22 @@ class TestFigure10Recipe:
 
 
 class TestCLI:
-    def test_blocker_flag_warns_and_delegates(self):
-        from repro.__main__ import _plan_from_args
+    def test_blocker_flag_is_rejected(self, capsys):
+        from repro.__main__ import main
 
         configs = json.dumps([
             {"kind": "attr_equivalence", "l_attr": "AwardNumber",
              "r_attr": "AwardNumber"},
         ])
-        ns = argparse.Namespace(plan=None, blocker=configs)
-        with pytest.warns(DeprecationWarning, match="--blocker is deprecated"):
-            plan = _plan_from_args(ns)
-        # one blocker substituted into each slice of the Figure-10 spec
-        assert sum(1 for n in plan.nodes if n.kind == "block") == 2
-        assert plan.canonical()  # stays JSON-mode
-
-    def test_plan_and_blocker_are_mutually_exclusive(self):
-        from repro.__main__ import _plan_from_args
-
-        ns = argparse.Namespace(plan="{}", blocker="[]")
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            _plan_from_args(ns)
+        with pytest.raises(SystemExit) as exc:
+            main(["casestudy", "--small", "--blocker", configs])
+        assert exc.value.code == 2  # argparse usage error, nothing ran
+        assert "--blocker" in capsys.readouterr().err
 
     def test_plan_flag_loads_example_spec(self):
         from repro.__main__ import _plan_from_args
 
-        ns = argparse.Namespace(plan=f"@{EXAMPLE_SPEC}", blocker=None)
+        ns = argparse.Namespace(plan=f"@{EXAMPLE_SPEC}")
         assert _plan_from_args(ns) == figure10_spec()
 
 

@@ -20,11 +20,11 @@ from repro.blocking import (
 from repro.features import extract_feature_vectors, generate_features
 from repro.runtime import (
     ChunkedExecutor,
+    EngineSession,
     Instrumentation,
     TokenCache,
     WorkerPool,
     chunk_ranges,
-    ensure_pool,
 )
 from repro.table import Table
 from repro.text import normalize_title, whitespace
@@ -221,7 +221,8 @@ class TestParallelEquivalence:
         )
         args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
         serial = blocker.block_tables(*args)
-        parallel = blocker.block_tables(*args, workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = blocker.block_tables(*args, session=session)
         assert parallel.pairs == serial.pairs  # same pairs, same order
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -231,7 +232,8 @@ class TestParallelEquivalence:
         )
         args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
         serial = blocker.block_tables(*args)
-        parallel = blocker.block_tables(*args, workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = blocker.block_tables(*args, session=session)
         assert parallel.pairs == serial.pairs
 
     @pytest.mark.parametrize("workers", [2, 4])
@@ -239,7 +241,8 @@ class TestParallelEquivalence:
         left, right = _rule_tables()
         blocker = RuleBasedBlocker(_num_equal_predicate, index_attrs=("num", "num"))
         serial = blocker.block_tables(left, right, "id", "id")
-        parallel = blocker.block_tables(left, right, "id", "id", workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = blocker.block_tables(left, right, "id", "id", session=session)
         assert serial.pairs  # the synthetic tables must actually join
         assert parallel.pairs == serial.pairs
 
@@ -249,7 +252,8 @@ class TestParallelEquivalence:
         blocker = RuleBasedBlocker(predicate, index_attrs=("num", "num"))
         serial = blocker.block_tables(left, right, "id", "id")
         instr = Instrumentation()
-        parallel = blocker.block_tables(left, right, "id", "id", workers=2, instrumentation=instr)
+        with EngineSession(workers=2, instrumentation=instr) as session:
+            parallel = blocker.block_tables(left, right, "id", "id", session=session)
         assert serial.pairs
         assert parallel.pairs == serial.pairs
         # the unpicklable predicate must have forced the serial fallback
@@ -268,7 +272,8 @@ class TestParallelEquivalence:
             tables.umetrics, tables.usda, exclude_attrs=[tables.l_key]
         )
         serial = extract_feature_vectors(candidates, fs)
-        parallel = extract_feature_vectors(candidates, fs, workers=workers)
+        with EngineSession(workers=workers) as session:
+            parallel = extract_feature_vectors(candidates, fs, session=session)
         assert parallel.pairs == serial.pairs
         assert parallel.feature_names == serial.feature_names
         assert np.array_equal(parallel.values, serial.values, equal_nan=True)
@@ -278,21 +283,23 @@ class TestParallelEquivalence:
             tables.umetrics, tables.usda, ["AwardTitle"], b_size=50, a_size=60,
             rng=np.random.default_rng(11),
         )
-        parallel = down_sample(
-            tables.umetrics, tables.usda, ["AwardTitle"], b_size=50, a_size=60,
-            rng=np.random.default_rng(11), workers=2,
-        )
+        with EngineSession(workers=2) as session:
+            parallel = down_sample(
+                tables.umetrics, tables.usda, ["AwardTitle"], b_size=50, a_size=60,
+                rng=np.random.default_rng(11), session=session,
+            )
         for s_table, p_table in zip(serial, parallel):
             assert p_table[tables.l_key] == s_table[tables.l_key]
 
     def test_instrumented_parallel_blocking_reports_chunks(self, tables):
         instr = Instrumentation()
-        OverlapBlocker(
-            "AwardTitle", "AwardTitle", threshold=3, normalizer=normalize_title
-        ).block_tables(
-            tables.umetrics, tables.usda, tables.l_key, tables.r_key,
-            workers=2, instrumentation=instr,
-        )
+        with EngineSession(workers=2, instrumentation=instr) as session:
+            OverlapBlocker(
+                "AwardTitle", "AwardTitle", threshold=3, normalizer=normalize_title
+            ).block_tables(
+                tables.umetrics, tables.usda, tables.l_key, tables.r_key,
+                session=session,
+            )
         probe = instr.find("probe")
         assert probe is not None and probe.chunks
         text = str(instr.report())
@@ -356,21 +363,6 @@ class TestWorkerPool:
         assert not executor.parallel
         assert executor.map(_square_chunk, [([2],), ([3],)]) == [[4], [9]]
 
-    def test_ensure_pool_respects_ownership(self):
-        # injected pool: yielded untouched, not shut down on exit
-        mine = WorkerPool(workers=2)
-        with ensure_pool(4, pool=mine) as pool:
-            assert pool is mine
-        assert mine.active
-        mine.shutdown()
-        # serial: no pool at all
-        with ensure_pool(1) as pool:
-            assert pool is None
-        # workers > 1: created here, owned here
-        with ensure_pool(2) as pool:
-            assert isinstance(pool, WorkerPool) and pool.active
-        assert pool._executor is None  # shut down on exit
-
 
 class TestCaseStudyPoolLifecycle:
     def test_serial_run_never_builds_a_pool(self):
@@ -384,7 +376,7 @@ class TestCaseStudyPoolLifecycle:
         from repro.casestudy import CaseStudyRun
 
         pool = WorkerPool(workers=2)
-        run = CaseStudyRun(pool=pool)
+        run = CaseStudyRun(session=EngineSession(pool=pool))
         assert run.worker_pool is pool
         run.close()  # must not shut down a pool it does not own
         assert pool.active
@@ -393,7 +385,7 @@ class TestCaseStudyPoolLifecycle:
     def test_owned_pool_created_lazily_and_closed(self):
         from repro.casestudy import CaseStudyRun
 
-        with CaseStudyRun(workers=2) as run:
+        with EngineSession(workers=2) as session, CaseStudyRun(session=session) as run:
             pool = run.worker_pool
             assert isinstance(pool, WorkerPool)
             assert run.worker_pool is pool  # one pool per run

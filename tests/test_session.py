@@ -1,9 +1,11 @@
-"""EngineSession lifecycle, scoping and legacy-parity tests."""
+"""EngineSession lifecycle, scoping and resolution tests."""
 
 from __future__ import annotations
 
+import importlib.util
 import multiprocessing
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -113,19 +115,15 @@ def test_fork_children_never_see_the_parent_pool():
     assert all(hidden for _, hidden in results)
 
 
-def test_resolve_session_inherits_and_derives():
+def test_resolve_session_explicit_then_ambient_then_default():
+    explicit = EngineSession(workers=3)
     with EngineSession(workers=2, provenance=True) as ambient:
         assert resolve_session(None) is ambient
-        derived = resolve_session(None, workers=3)
-        assert derived is not ambient
-        assert derived.workers == 3
-        assert derived.provenance is True  # un-overridden fields inherit
-        assert derived.worker_pool is ambient.worker_pool  # shared, not owned
-    # Without an ambient session, legacy kwargs build a transient session
-    # that never opens a persistent pool of its own.
-    transient = resolve_session(None, workers=4)
-    assert transient.workers == 4
-    assert transient.worker_pool is None
+        assert resolve_session(explicit) is explicit  # explicit wins
+    default = resolve_session(None)
+    assert default is not ambient and default.workers == 1
+    assert default.store is None and default.instrumentation is None
+    assert default.worker_pool is None
 
 
 def test_run_stage_counters_and_uncacheable_bypass(tmp_path):
@@ -157,7 +155,7 @@ def test_run_stage_counters_and_uncacheable_bypass(tmp_path):
 
 def test_session_figure10_parity_with_legacy_kwargs(case_study):
     """The Figure-10 run driven by one ambient EngineSession must be
-    bit-identical to the legacy per-kwarg path (the `case_study` fixture)."""
+    bit-identical to the run-owned-session path (the `case_study` fixture)."""
     legacy = case_study.final_workflow
     blocking, labeling, matching = (
         case_study.blocking_v2, case_study.labeling, case_study.matching,
@@ -178,3 +176,29 @@ def test_session_figure10_parity_with_legacy_kwargs(case_study):
         assert ours.predicted_matches == theirs.predicted_matches
         assert ours.flipped == theirs.flipped
         assert set(ours.sure_matches.pairs) == set(theirs.sure_matches.pairs)
+
+
+def _load_plumbing_lint():
+    path = Path(__file__).resolve().parent.parent / "tools" / "lint_session_plumbing.py"
+    spec = importlib.util.spec_from_file_location("lint_session_plumbing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_session_plumbing_lint_is_clean(capsys):
+    assert _load_plumbing_lint().main([]) == 0, capsys.readouterr().out
+
+
+def test_session_plumbing_lint_flags_store_keyword(tmp_path, capsys):
+    module = tmp_path / "src" / "repro" / "stage.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "def run(tables, store=None):\n"
+        "    return block(tables, store=store)\n",
+        encoding="utf-8",
+    )
+    assert _load_plumbing_lint().main(["--src", str(tmp_path / "src")]) == 1
+    out = capsys.readouterr().out
+    assert "repro/stage.py:1: def run(... store= ...)" in out
+    assert "repro/stage.py:2: call to block() threads store=" in out

@@ -16,6 +16,7 @@ from repro.labeling import Label, LabeledPairs
 from repro.matchers import MLMatcher
 from repro.ml import DecisionTreeClassifier
 from repro.rules import ExactNumberRule
+from repro.runtime import EngineSession
 from repro.runtime.instrument import Instrumentation
 from repro.store import (
     CANDIDATES,
@@ -237,7 +238,10 @@ class TestStageWrappers:
         matcher = self.trained(left, right, features)
         wf = self.workflow()
         plain = wf.run(left, right, "id", "id", matcher, features)
-        stored = wf.run(left, right, "id", "id", matcher, features, store=store)
+        stored = wf.run(
+            left, right, "id", "id", matcher, features,
+            session=EngineSession(store=store),
+        )
         assert stored.matches == plain.matches
         assert stored.predicted_matches == plain.predicted_matches
         assert stored.blocked.pairs == plain.blocked.pairs
@@ -249,9 +253,15 @@ class TestStageWrappers:
         matcher = self.trained(left, right, features)
         wf = self.workflow()
         cold_store = ArtifactStore(tmp_path / "store")
-        cold = wf.run(left, right, "id", "id", matcher, features, store=cold_store)
+        cold = wf.run(
+            left, right, "id", "id", matcher, features,
+            session=EngineSession(store=cold_store),
+        )
         warm_store = ArtifactStore(tmp_path / "store")
-        warm = wf.run(left, right, "id", "id", matcher, features, store=warm_store)
+        warm = wf.run(
+            left, right, "id", "id", matcher, features,
+            session=EngineSession(store=warm_store),
+        )
         assert warm.matches == cold.matches
         assert warm_store.stats().misses == 0
         assert warm_store.stats().hits == cold_store.stats().misses
@@ -262,14 +272,14 @@ class TestStageWrappers:
             name="wf", blockers=[OverlapBlocker("title", "title", threshold=3)]
         )
         s1 = ArtifactStore(tmp_path / "store")
-        wf.build_candidates(left, right, "id", "id", store=s1)
+        wf.build_candidates(left, right, "id", "id", session=EngineSession(store=s1))
         edited = Table(
             {**{c: left[c] for c in left.columns},
              "title": ["x y z w", "p q r s", "x y z w", "m n o CHANGED"]},
             name="L",
         )
         s2 = ArtifactStore(tmp_path / "store")
-        wf.build_candidates(edited, right, "id", "id", store=s2)
+        wf.build_candidates(edited, right, "id", "id", session=EngineSession(store=s2))
         assert s2.stats().misses >= 1
         miss = [e for e in s2.events if e.status == "miss"][0]
         assert "ltable" in miss.reason
@@ -280,7 +290,9 @@ class TestStageWrappers:
             "num", "num", l_preprocess=lambda v: str(v).lower()
         )
         plain = blocker.block_tables(left, right, "id", "id")
-        cached = blocker.block_tables(left, right, "id", "id", store=store)
+        cached = blocker.block_tables(
+            left, right, "id", "id", session=EngineSession(store=store)
+        )
         assert cached.pairs == plain.pairs
         assert store.stats().bypasses == 1 and store.stats().misses == 0
         (event,) = store.events

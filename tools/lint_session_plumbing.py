@@ -1,31 +1,30 @@
 #!/usr/bin/env python
-"""Fail CI when new code re-grows per-call session plumbing.
+"""Fail CI when per-call session plumbing grows back.
 
-The EngineSession refactor collapsed the ``workers=`` /
-``instrumentation=`` keyword threading into one ambient session plus a
-frozen shim layer (the modules listed in ``SHIM_MODULES``). This lint
-walks every other module under ``src/repro`` with ``ast`` and fails when
-it finds
+Every pipeline entry point takes one keyword-only ``session=`` (an
+:class:`~repro.runtime.context.EngineSession`) or uses the ambient one.
+This lint walks every module under ``src/repro`` with ``ast`` and fails
+when it finds
 
-* a function/method *definition* declaring a ``workers`` or
-  ``instrumentation`` parameter, or
-* a *call* passing ``workers=`` / ``instrumentation=`` to anything other
-  than the session/runtime constructors that legitimately take them
-  (``EngineSession``, ``resolve_session``, ``derive``, ``WorkerPool``,
-  ``ChunkedExecutor``, ``Instrumentation``, ...).
+* a function/method *definition* declaring a ``workers``,
+  ``instrumentation`` or ``store`` parameter, or
+* a *call* passing ``workers=`` / ``instrumentation=`` / ``store=`` to
+  anything other than the session and runtime-primitive constructors
+  that legitimately take them (``ALLOWED_CALLEES``).
 
-The pipeline-plan refactor likewise collapsed the three hand-wired
-copies of the Figure-10 recipe into one spec
-(``repro.plan.figure10_spec``). A second check freezes the legacy
-recipe constructors (``make_blockers`` / ``positive_rules`` /
-``default_negative_rules``): outside their defining modules and the
-registry factories (``RECIPE_ALLOWED``), new code — including
-benchmarks and examples — must derive the recipe from the plan
-(``figure10_spec`` / ``recipe_from_spec`` / ``figure10_workflow``).
+The only exemptions are ``SHIM_MODULES``: the primitives that take such
+a handle as their *subject* — the session itself, the executor and
+instrumentation, the obs collectors and the artifact store.
 
-New code should accept/resolve an ``EngineSession`` instead (or rely on
-the ambient one); only the deprecated shim layer may keep the old
-keywords. Run locally with ``python tools/lint_session_plumbing.py``.
+A second check keeps the Figure-10 recipe in one place
+(``repro.plan.figure10_spec``): the hand-written recipe constructors
+(``make_blockers`` / ``positive_rules`` / ``default_negative_rules``) may
+only be called from their defining modules and the registry factories
+(``RECIPE_ALLOWED``); everywhere else — benchmarks and examples included
+— derives the recipe from the plan (``figure10_spec`` /
+``recipe_from_spec`` / ``figure10_workflow``).
+
+Run locally with ``python tools/lint_session_plumbing.py``.
 """
 
 from __future__ import annotations
@@ -35,39 +34,27 @@ import ast
 import sys
 from pathlib import Path
 
-BANNED_KEYWORDS = {"workers", "instrumentation"}
+BANNED_KEYWORDS = {"workers", "instrumentation", "store"}
 
-#: The frozen deprecated-shim layer: the only modules allowed to declare
-#: or thread the legacy keywords. Do not add entries — route new code
-#: through EngineSession instead.
+#: Primitives that take a pool, instrumentation or store handle as their
+#: *subject* (events are recorded onto it, or it is what they build), not
+#: as threaded plumbing. Do not add entries — route new code through
+#: EngineSession instead.
 SHIM_MODULES = {
     "repro/runtime/context.py",
     "repro/runtime/executor.py",
     "repro/runtime/instrument.py",
-    "repro/blocking/base.py",
-    "repro/blocking/down_sample.py",
-    "repro/features/vectors.py",
-    "repro/core/workflow.py",
-    "repro/store/stages.py",
-    "repro/casestudy/__init__.py",
-    "repro/casestudy/matching.py",
-    "repro/casestudy/workflows.py",
-    # obs collectors and the store take an instrumentation handle as
-    # their *subject* (events are recorded onto it), not as threaded
-    # plumbing
     "repro/obs/trace.py",
     "repro/obs/metrics.py",
     "repro/obs/manifest.py",
     "repro/store/store.py",
 }
 
-#: Callees that legitimately accept the keywords everywhere: session
-#: and runtime-primitive constructors, the session shim resolver, and
-#: the metrics collector (which *consumes* an instrumentation handle).
+#: Callees that legitimately accept the keywords everywhere: session and
+#: runtime-primitive constructors, and the metrics collector (which
+#: *consumes* an instrumentation handle).
 ALLOWED_CALLEES = {
     "EngineSession",
-    "resolve_session",
-    "derive",
     "WorkerPool",
     "ChunkedExecutor",
     "Instrumentation",
@@ -76,7 +63,8 @@ ALLOWED_CALLEES = {
 }
 
 
-#: The legacy Figure-10 recipe constructors, frozen to their defining
+#: The hand-written Figure-10 recipe constructors — reference code the
+#: config recipe is pinned against — callable only from their defining
 #: modules (and the registry factory that wraps one). Everywhere else
 #: derives the recipe from the plan. Do not add entries.
 RECIPE_ALLOWED = {
@@ -92,14 +80,14 @@ RECIPE_ALLOWED = {
 def _callee_name(node: ast.Call) -> str:
     func = node.func
     if isinstance(func, ast.Attribute):
-        return func.attr  # session.derive(...), obs.collect_metrics(...)
+        return func.attr  # obs.collect_metrics(...)
     if isinstance(func, ast.Name):
         return func.id
     return ""
 
 
 def lint_recipe_calls(path: Path, rel: str) -> list[str]:
-    """Flag hand-wired Figure-10 recipe calls outside the frozen layer.
+    """Flag hand-wired Figure-10 recipe calls outside ``RECIPE_ALLOWED``.
 
     Only bare-name calls count: ``positive_rules`` is also a workflow
     *attribute* name, and ``obj.positive_rules`` accesses are fine.
@@ -114,7 +102,7 @@ def lint_recipe_calls(path: Path, rel: str) -> list[str]:
         if allowed is not None and rel not in allowed:
             problems.append(
                 f"{rel}:{node.lineno}: call to {name}() hand-wires the "
-                f"legacy Figure-10 recipe — derive it from the plan "
+                f"Figure-10 recipe — derive it from the plan "
                 f"(repro.plan.figure10_spec / recipe_from_spec / "
                 f"figure10_workflow) instead"
             )
@@ -135,7 +123,8 @@ def lint_file(path: Path, rel: str) -> list[str]:
             for name in declared:
                 problems.append(
                     f"{rel}:{node.lineno}: def {node.name}(... {name}= ...) "
-                    f"declares legacy session plumbing outside the shim layer"
+                    f"declares per-call session plumbing — take session= "
+                    f"instead"
                 )
         elif isinstance(node, ast.Call):
             callee = _callee_name(node)
@@ -164,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     for path in sorted(src.rglob("*.py")):
         rel = path.relative_to(src).as_posix()
         problems.extend(lint_recipe_calls(path, rel))
-        if rel in SHIM_MODULES or rel == "repro/__main__.py":
+        if rel in SHIM_MODULES:
             continue
         problems.extend(lint_file(path, rel))
     # the recipe freeze also covers benchmarks and examples — the very
@@ -181,8 +170,8 @@ def main(argv: list[str] | None = None) -> int:
         print(problem)
     if problems:
         print(
-            f"\n{len(problems)} legacy-plumbing violation(s); the allowed "
-            f"shim layer is frozen in tools/lint_session_plumbing.py"
+            f"\n{len(problems)} session-plumbing violation(s); see "
+            f"tools/lint_session_plumbing.py"
         )
         return 1
     print("session-plumbing lint: clean")
