@@ -27,7 +27,6 @@ from .factory import (
     default_plan_configs,
     register_blocker,
 )
-from .lsh import MinHashLSHBlocker, SimHashBlocker
 from .overlap import OverlapBlocker
 from .overlap_coefficient import OverlapCoefficientBlocker
 from .policy import UNCAPPED, BlockSizePolicy, resolve_policy
@@ -45,7 +44,6 @@ __all__ = [
     "BlockSizePolicy",
     "CandidateSet",
     "IncrementalBlocking",
-    "MinHashLSHBlocker",
     "MissedPairReport",
     "OverlapBlocker",
     "OverlapCoefficientBlocker",
@@ -56,7 +54,6 @@ __all__ = [
     "RuleBasedBlocker",
     "ShardedOverlapBlocker",
     "ShardedOverlapCoefficientBlocker",
-    "SimHashBlocker",
     "SortedNeighborhoodBlocker",
     "UNCAPPED",
     "canonical_records",

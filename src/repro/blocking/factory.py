@@ -40,7 +40,6 @@ from ..text.patterns import award_number_suffix
 from ..text.tokenizers import TOKENIZERS
 from .attr_equivalence import AttrEquivalenceBlocker
 from .base import Blocker
-from .lsh import MinHashLSHBlocker, SimHashBlocker
 from .overlap import OverlapBlocker
 from .overlap_coefficient import OverlapCoefficientBlocker
 from .sharded import ShardedOverlapBlocker, ShardedOverlapCoefficientBlocker
@@ -106,8 +105,6 @@ BLOCKER_REGISTRY: dict[str, Callable[[dict[str, Any]], Blocker]] = {
     "sharded_overlap_coefficient": lambda p: ShardedOverlapCoefficientBlocker(
         **_common(p)
     ),
-    "minhash_lsh": lambda p: MinHashLSHBlocker(**_common(p)),
-    "simhash": lambda p: SimHashBlocker(**_common(p)),
     "sorted_neighborhood": _build_sorted_neighborhood,
 }
 

@@ -12,7 +12,7 @@ counts are then verified exactly
 The global ordering is ``(doc_freq, token)``, rarest first, so the prefix
 probes the most selective tokens; it is a total order, ranked once per
 run rather than per record. Tokenization, indexing, capping and the
-chunk-parallel probe are shared with the coefficient blocker in
+probe are shared with the coefficient blocker in
 :mod:`repro.blocking.overlap_family`.
 """
 

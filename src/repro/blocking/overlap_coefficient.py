@@ -10,10 +10,9 @@ coefficient itself is checked
 (:func:`~repro.similarity.batch.overlap_coefficient_at_least_batch`).
 
 Each record probes in the *iteration order of its cached frozenset*,
-replayed by :attr:`~repro.runtime.cache.InternedTokens.probe` so that
-worker chunks see the parent's order. Tokenization, indexing, capping and
-the chunk-parallel probe are shared with the overlap blocker in
-:mod:`repro.blocking.overlap_family`.
+replayed by :attr:`~repro.runtime.cache.InternedTokens.probe`.
+Tokenization, indexing, capping and the probe are shared with the
+overlap blocker in :mod:`repro.blocking.overlap_family`.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ Both run one pipeline over interned token ids:
 3. apply the block-size cap: tokens whose posting list exceeds it leave
    the probe side only, never verification;
 4. probe the index with each left record's probe tokens, collecting its
-   candidates in a ``seen`` set, chunked over the session's workers;
-5. verify each chunk's ordered candidate list with one batch keep-mask.
+   candidates in a ``seen`` set, in one in-process pass
+   (:func:`probe_records`);
+5. verify the ordered candidate list with one batch keep-mask.
 
 Two hooks are all that differ between the blockers:
 
@@ -24,18 +25,19 @@ Two hooks are all that differ between the blockers:
 * :attr:`TokenBlocker._keep_mask`, the batch predicate from
   :mod:`repro.similarity.batch`.
 
-The sharded layout (:mod:`repro.blocking.sharded`) and the delta handle
-(:mod:`repro.blocking.incremental`) take the same two hooks, so every
-layout emits the same pairs in the same order.
+The delta handle (:mod:`repro.blocking.incremental`) runs the same
+:func:`probe_records` over the same hooks, so both emit the same pairs
+in the same order. The probe runs in the calling process whatever the
+session's ``workers``: shipping the index to worker chunks cost more in
+pickling than the chunks saved (measurements in ``docs/blocking.md``).
 
 Emission order: pairs come per left record, in left-table order, and
 within a record in the iteration order of its ``seen`` set. That order
-is a function of the distinct-insertion sequence, fixed in the parent
-before chunks ship: probe tokens in probe order (the rank is a total
-order; the coefficient probe replays the cached frozenset's iteration
-order as an ``array('i')``, since an unpickled frozenset may iterate
-differently), posting lists in right-row order. The keep-mask filters
-the ordered candidate list in place.
+is a function of the distinct-insertion sequence: probe tokens in probe
+order (the rank is a total order; the coefficient probe replays the
+cached frozenset's iteration order as an ``array('i')``), posting lists
+in right-row order. The keep-mask filters the ordered candidate list in
+place.
 """
 
 from __future__ import annotations
@@ -43,9 +45,7 @@ from __future__ import annotations
 from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import IncrementalBlockingError
-from ..runtime.columnar import TokenColumn
 from ..runtime.context import EngineSession
-from ..runtime.executor import chunk_ranges
 from ..runtime.instrument import count, stage
 from ..table import Table
 from ..text.intern import id_array
@@ -103,25 +103,6 @@ def probe_records(
             cand_b.append(r_sets[rid])
     keep = keep_mask(cand_a, cand_b, threshold)
     return [pair for pair, kept in zip(cand_pairs, keep) if kept]
-
-
-def _probe_chunk(
-    lids: list[Any],
-    probes: list[Any],
-    l_col: TokenColumn,
-    rids: tuple[Any, ...],
-    r_col: TokenColumn,
-    index: dict[int, list[Any]],
-    keep_mask: Callable,
-    threshold: Any,
-) -> list[Pair]:
-    """:func:`probe_records` over columnar chunks (runs in workers).
-
-    Token sets ship as :class:`~repro.runtime.columnar.TokenColumn` CSR
-    buffers; the serial path runs the same function inline.
-    """
-    r_sets = dict(zip(rids, r_col.sets()))
-    return probe_records(lids, probes, l_col.sets(), r_sets, index, keep_mask, threshold)
 
 
 class TokenBlocker(Blocker):
@@ -239,17 +220,6 @@ class TokenBlocker(Blocker):
             count(instrumentation, "l_records", len(l_entries))
             count(instrumentation, "r_records", len(r_entries))
             count(instrumentation, "cache_hits", cache.hits - hits_before)
-        pairs = self._probe(session, l_entries, r_entries)
-        return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)
-
-    def _probe(
-        self,
-        session: EngineSession,
-        l_entries: dict[Any, Any],
-        r_entries: dict[Any, Any],
-    ) -> list[Pair]:
-        """The batch layout: the whole index ships with every chunk."""
-        instrumentation = session.instrumentation
         with stage(instrumentation, "index"):
             index, doc_freq = right_index(r_entries)
             capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
@@ -257,27 +227,14 @@ class TokenBlocker(Blocker):
             lids, probes, entries = self._left_probes(
                 l_entries, doc_freq, capped, session
             )
-            l_col = TokenColumn.from_entries(entries)
-            rids = tuple(r_entries)
-            r_col = TokenColumn.from_entries(r_entries.values())
-            ranges = chunk_ranges(len(lids), session.workers)
-            chunks = session.map_chunks(
-                _probe_chunk,
-                [
-                    (
-                        lids[start:stop],
-                        probes[start:stop],
-                        l_col.slice(start, stop),
-                        rids,
-                        r_col,
-                        index,
-                        self._keep_mask,
-                        self.threshold,
-                    )
-                    for start, stop in ranges
-                ],
-                sizes=[stop - start for start, stop in ranges],
+            pairs = probe_records(
+                lids,
+                probes,
+                [entry.ids for entry in entries],
+                {rid: entry.ids for rid, entry in r_entries.items()},
+                index,
+                self._keep_mask,
+                self.threshold,
             )
-            pairs = [pair for chunk in chunks for pair in chunk]
             count(instrumentation, "pairs_out", len(pairs))
-        return pairs
+        return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)

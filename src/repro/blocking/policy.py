@@ -1,7 +1,7 @@
 """Block-size capping policy shared by every block-producing blocker.
 
-A "block" is one posting list of an inverted index (token blockers), one
-equi-join group (attribute equivalence), or one LSH bucket. At million-row
+A "block" is one posting list of an inverted index (token blockers) or
+one equi-join group (attribute equivalence). At million-row
 scale a handful of stop-word-like tokens own posting lists covering a
 large fraction of the table, and probing them turns blocking quadratic:
 the cross product of a single oversized block can dwarf every real match.
@@ -24,9 +24,7 @@ and every golden snapshot bit-identical. When a cap is set the blocker
   :mod:`repro.obs` metrics collector rolls up like any other stage counter.
 
 Capping decisions are made on *complete* block sizes (the whole posting
-list / join group), so the sharded and unsharded execution paths — where
-a token's full posting always lives in exactly one shard — cap the same
-blocks and stay bit-identical to each other.
+list / join group).
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ from typing import Any
 import numpy as np
 
 from ..blocking.attr_equivalence import AttrEquivalenceBlocker
-from ..blocking.lsh import MinHashLSHBlocker, SimHashBlocker
 from ..blocking.overlap import OverlapBlocker
 from ..blocking.overlap_coefficient import OverlapCoefficientBlocker
 from ..blocking.sharded import (
@@ -258,30 +257,20 @@ def _policy_arg(payload: dict[str, Any]) -> dict[str, Any]:
     return {"block_size_policy": cap} if cap is not None else {}
 
 
+#: The overlap-family kinds, which share one payload shape. A blocker
+#: packages under the first of its classes (in MRO order) listed here,
+#: so a sharded blocker never packages under its parent's kind.
+_TOKEN_BLOCKERS: dict[str, type] = {
+    "overlap": OverlapBlocker,
+    "overlap_coefficient": OverlapCoefficientBlocker,
+    "sharded_overlap": ShardedOverlapBlocker,
+    "sharded_overlap_coefficient": ShardedOverlapCoefficientBlocker,
+}
+_TOKEN_KINDS = {cls: kind for kind, cls in _TOKEN_BLOCKERS.items()}
+_SHARDED = (ShardedOverlapBlocker, ShardedOverlapCoefficientBlocker)
+
+
 def serialize_blocker(blocker) -> dict[str, Any]:
-    # Subclass kinds must be tested before their parents: a sharded
-    # blocker is-an overlap blocker, but its payload carries the shard
-    # count the parent kind would drop.
-    if isinstance(blocker, ShardedOverlapBlocker):
-        return {
-            "kind": "sharded_overlap",
-            "l_attr": blocker.l_attr,
-            "r_attr": blocker.r_attr,
-            "threshold": blocker.threshold,
-            "normalizer": _preprocessor_name(blocker.normalizer),
-            "shards": blocker.shards,
-            **_policy_payload(blocker),
-        }
-    if isinstance(blocker, ShardedOverlapCoefficientBlocker):
-        return {
-            "kind": "sharded_overlap_coefficient",
-            "l_attr": blocker.l_attr,
-            "r_attr": blocker.r_attr,
-            "threshold": blocker.threshold,
-            "normalizer": _preprocessor_name(blocker.normalizer),
-            "shards": blocker.shards,
-            **_policy_payload(blocker),
-        }
     if isinstance(blocker, AttrEquivalenceBlocker):
         return {
             "kind": "attr_equivalence",
@@ -291,47 +280,22 @@ def serialize_blocker(blocker) -> dict[str, Any]:
             "r_preprocess": _preprocessor_name(blocker.r_preprocess),
             **_policy_payload(blocker),
         }
-    if isinstance(blocker, OverlapBlocker):
-        return {
-            "kind": "overlap",
-            "l_attr": blocker.l_attr,
-            "r_attr": blocker.r_attr,
-            "threshold": blocker.threshold,
-            "normalizer": _preprocessor_name(blocker.normalizer),
-            **_policy_payload(blocker),
-        }
-    if isinstance(blocker, OverlapCoefficientBlocker):
-        return {
-            "kind": "overlap_coefficient",
-            "l_attr": blocker.l_attr,
-            "r_attr": blocker.r_attr,
-            "threshold": blocker.threshold,
-            "normalizer": _preprocessor_name(blocker.normalizer),
-            **_policy_payload(blocker),
-        }
-    if isinstance(blocker, MinHashLSHBlocker):
-        return {
-            "kind": "minhash_lsh",
-            "l_attr": blocker.l_attr,
-            "r_attr": blocker.r_attr,
-            "threshold": blocker.threshold,
-            "bands": blocker.bands,
-            "rows": blocker.rows,
-            "seed": blocker.seed,
-            "normalizer": _preprocessor_name(blocker.normalizer),
-            **_policy_payload(blocker),
-        }
-    if isinstance(blocker, SimHashBlocker):
-        return {
-            "kind": "simhash",
-            "l_attr": blocker.l_attr,
-            "r_attr": blocker.r_attr,
-            "max_hamming": blocker.max_hamming,
-            "seed": blocker.seed,
-            "normalizer": _preprocessor_name(blocker.normalizer),
-            **_policy_payload(blocker),
-        }
-    raise WorkflowError(f"cannot package blocker {type(blocker).__name__}")
+    kind = next(
+        (_TOKEN_KINDS[cls] for cls in type(blocker).__mro__ if cls in _TOKEN_KINDS),
+        None,
+    )
+    if kind is None:
+        raise WorkflowError(f"cannot package blocker {type(blocker).__name__}")
+    payload = {
+        "kind": kind,
+        "l_attr": blocker.l_attr,
+        "r_attr": blocker.r_attr,
+        "threshold": blocker.threshold,
+        "normalizer": _preprocessor_name(blocker.normalizer),
+    }
+    if isinstance(blocker, _SHARDED):
+        payload["shards"] = blocker.shards
+    return {**payload, **_policy_payload(blocker)}
 
 
 def deserialize_blocker(payload: dict[str, Any]):
@@ -343,47 +307,16 @@ def deserialize_blocker(payload: dict[str, Any]):
             r_preprocess=_PREPROCESSORS[payload["r_preprocess"]],
             **_policy_arg(payload),
         )
-    if kind == "overlap":
-        return OverlapBlocker(
-            payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
-            normalizer=_PREPROCESSORS[payload["normalizer"]],
-            **_policy_arg(payload),
-        )
-    if kind == "overlap_coefficient":
-        return OverlapCoefficientBlocker(
-            payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
-            normalizer=_PREPROCESSORS[payload["normalizer"]],
-            **_policy_arg(payload),
-        )
-    if kind == "sharded_overlap":
-        return ShardedOverlapBlocker(
-            payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
-            normalizer=_PREPROCESSORS[payload["normalizer"]],
-            shards=payload["shards"],
-            **_policy_arg(payload),
-        )
-    if kind == "sharded_overlap_coefficient":
-        return ShardedOverlapCoefficientBlocker(
-            payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
-            normalizer=_PREPROCESSORS[payload["normalizer"]],
-            shards=payload["shards"],
-            **_policy_arg(payload),
-        )
-    if kind == "minhash_lsh":
-        return MinHashLSHBlocker(
-            payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
-            bands=payload["bands"], rows=payload["rows"], seed=payload["seed"],
-            normalizer=_PREPROCESSORS[payload["normalizer"]],
-            **_policy_arg(payload),
-        )
-    if kind == "simhash":
-        return SimHashBlocker(
-            payload["l_attr"], payload["r_attr"],
-            max_hamming=payload["max_hamming"], seed=payload["seed"],
-            normalizer=_PREPROCESSORS[payload["normalizer"]],
-            **_policy_arg(payload),
-        )
-    raise WorkflowError(f"unknown blocker kind {kind!r}")
+    cls = _TOKEN_BLOCKERS.get(kind)
+    if cls is None:
+        raise WorkflowError(f"unknown blocker kind {kind!r}")
+    shards = {"shards": payload["shards"]} if issubclass(cls, _SHARDED) else {}
+    return cls(
+        payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
+        normalizer=_PREPROCESSORS[payload["normalizer"]],
+        **shards,
+        **_policy_arg(payload),
+    )
 
 
 # ----------------------------------------------------------------------

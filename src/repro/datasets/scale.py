@@ -5,7 +5,7 @@ around tens of thousands of rows: it materializes project objects, and
 its title reuse produces a token-frequency profile too benign to stress
 blocking. This module generates the *adversarial* profile blocking must
 survive at the ROADMAP's million-row scale, with exactly the structure
-the sharded/capped/LSH stack is built for:
+the capped token blockers are built for:
 
 * every row's title holds 8 tokens — a per-row unique core plus,
   for some rows, shared "family" tokens drawn from two pools:
@@ -15,12 +15,12 @@ the sharded/capped/LSH stack is built for:
   of a Zipf token distribution with precisely known block sizes;
 * a fixed fraction of left rows *match* one right row (6 of 8 tokens
   shared → Jaccard 2/3, overlap 6): ground truth is returned alongside
-  the tables, so benchmarks can measure LSH recall exactly;
+  the tables, so benchmarks can measure recall exactly;
 * "collider" left rows share exactly 3 tokens with a whole family —
   enough to pass the overlap blocker's K=3 verification, far below any
   Jaccard threshold — so uncapped exact blocking produces
-  family-size-quadratic candidates while verified-LSH output stays
-  match-proportional (the ≤ 25 %-of-overlap acceptance band);
+  family-size-quadratic candidates, while a Jaccard-verified blocker's
+  output would stay match-proportional;
 * with a size cap ~40, pool-A families are capped at every scale and
   pool-B families are capped only past ~400k rows, which is what makes
   capped candidate growth *sub-linear* (the 10×-rows < 10×-pairs band).

@@ -56,8 +56,7 @@ class InternedTokens:
 
     ``sorted`` holds the sorted unique ids (the CSR wire form);
     ``probe`` preserves the *iteration order of the underlying frozenset*,
-    which is the order the overlap-coefficient blocker probes in — an
-    explicit array, so worker chunks replay the parent's order exactly.
+    which is the order the overlap-coefficient blocker probes in, as ids.
     ``ids`` holds the same ids as a
     ``frozenset[int]`` for the blockers' verification step: CPython's
     C-level set intersection over small ints beats any Python-level merge

@@ -24,9 +24,7 @@ empty sets by the reference expressions, exactly like the per-pair path.
 
 Set views are only ever used for size/intersection arithmetic, which is
 iteration-order independent, so rebuilding frozensets from sorted CSR
-data in a worker cannot perturb any bit-identity contract. Order-
-sensitive consumers (the overlap-coefficient probe) keep shipping their
-explicit ``probe`` arrays.
+data in a worker cannot perturb any bit-identity contract.
 """
 
 from __future__ import annotations

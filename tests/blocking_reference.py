@@ -102,8 +102,8 @@ def probe_coefficient_chunk(l_items, r_tokens, index, threshold):
 
 
 def block_pairs(blocker, ltable, rtable, l_key, r_key) -> list[tuple[Any, Any]]:
-    """The pairs *blocker* (an overlap or coefficient blocker, sharded or
-    not) must emit for ``ltable x rtable``, in order."""
+    """The pairs *blocker* (an overlap or coefficient blocker, of any
+    kind) must emit for ``ltable x rtable``, in order."""
     l_tokens = tokens_by_id(ltable, blocker.l_attr, l_key, blocker.tokenizer, blocker.normalizer)
     r_tokens = tokens_by_id(rtable, blocker.r_attr, r_key, blocker.tokenizer, blocker.normalizer)
     index: dict[str, list[Any]] = {}

@@ -15,10 +15,10 @@ from repro.blocking import (
     AttrEquivalenceBlocker,
     BlockerConfig,
     BLOCKER_REGISTRY,
-    MinHashLSHBlocker,
     OverlapBlocker,
     OverlapCoefficientBlocker,
     ShardedOverlapBlocker,
+    ShardedOverlapCoefficientBlocker,
     UNCAPPED,
     BlockSizePolicy,
     create_blocker,
@@ -90,7 +90,7 @@ class TestCreateBlocker:
         assert built.normalizer is normalize_title
         assert built.tokenizer is whitespace
 
-    def test_sharded_and_lsh_kinds(self):
+    def test_sharded_kinds(self):
         sharded = create_blocker(
             {"kind": "sharded_overlap", "l_attr": "t", "r_attr": "t",
              "threshold": 2, "shards": 4, "block_size_policy": 50}
@@ -98,12 +98,12 @@ class TestCreateBlocker:
         assert isinstance(sharded, ShardedOverlapBlocker)
         assert sharded.shards == 4
         assert sharded.block_size_policy.max_block_size == 50
-        lsh = create_blocker(
-            {"kind": "minhash_lsh", "l_attr": "t", "r_attr": "t",
-             "threshold": 0.4, "bands": 16, "rows": 4, "seed": 9}
+        coeff = create_blocker(
+            {"kind": "sharded_overlap_coefficient", "l_attr": "t",
+             "r_attr": "t", "threshold": 0.5, "shards": 3}
         )
-        assert isinstance(lsh, MinHashLSHBlocker)
-        assert (lsh.bands, lsh.rows, lsh.seed) == (16, 4, 9)
+        assert isinstance(coeff, ShardedOverlapCoefficientBlocker)
+        assert (coeff.shards, coeff.threshold) == (3, 0.5)
 
     def test_unknown_kind_lists_available(self):
         with pytest.raises(BlockingError, match="available"):
@@ -132,7 +132,7 @@ class TestCreateBlocker:
         assert {
             "attr_equivalence", "overlap", "overlap_coefficient",
             "sharded_overlap", "sharded_overlap_coefficient",
-            "minhash_lsh", "simhash", "sorted_neighborhood",
+            "sorted_neighborhood",
         } <= set(BLOCKER_REGISTRY)
 
 

@@ -29,6 +29,8 @@ from repro.runtime import (
 from repro.table import Table
 from repro.text import normalize_title, whitespace
 
+from .test_sharded_blocking import flat_counters
+
 WORKERS_AVAILABLE = int(os.environ.get("REPRO_WORKERS", "2"))
 
 needs_workers = pytest.mark.skipif(
@@ -291,19 +293,46 @@ class TestParallelEquivalence:
         for s_table, p_table in zip(serial, parallel):
             assert p_table[tables.l_key] == s_table[tables.l_key]
 
-    def test_instrumented_parallel_blocking_reports_chunks(self, tables):
+    def test_instrumented_parallel_extraction_reports_chunks(self, tables):
+        candidates = OverlapBlocker(
+            "AwardTitle", "AwardTitle", threshold=3, normalizer=normalize_title
+        ).block_tables(tables.umetrics, tables.usda, tables.l_key, tables.r_key)
+        fs = generate_features(
+            tables.umetrics, tables.usda, exclude_attrs=[tables.l_key]
+        )
         instr = Instrumentation()
         with EngineSession(workers=2, instrumentation=instr) as session:
+            extract_feature_vectors(candidates, fs, session=session)
+        extract = instr.find("extract_features")
+        assert extract is not None and extract.chunks
+        assert extract.counters.get("pickled_chunks", 0) >= 2
+        text = str(instr.report())
+        assert "extract_features" in text and "cells" in text
+
+    @pytest.mark.parametrize(
+        "blocker",
+        [
             OverlapBlocker(
                 "AwardTitle", "AwardTitle", threshold=3, normalizer=normalize_title
-            ).block_tables(
-                tables.umetrics, tables.usda, tables.l_key, tables.r_key,
-                session=session,
-            )
+            ),
+            OverlapCoefficientBlocker(
+                "AwardTitle", "AwardTitle", threshold=0.7, normalizer=normalize_title
+            ),
+        ],
+        ids=["overlap", "coefficient"],
+    )
+    def test_token_blocking_ships_no_chunks(self, tables, blocker):
+        """Token blockers probe in-process: ``workers`` changes nothing."""
+        args = (tables.umetrics, tables.usda, tables.l_key, tables.r_key)
+        serial = blocker.block_tables(*args)
+        instr = Instrumentation()
+        with EngineSession(workers=2, instrumentation=instr) as session:
+            parallel = blocker.block_tables(*args, session=session)
+        assert parallel.pairs == serial.pairs
         probe = instr.find("probe")
-        assert probe is not None and probe.chunks
-        text = str(instr.report())
-        assert "probe" in text and "pairs_out" in text
+        assert probe is not None and not probe.chunks
+        assert "pickled_chunks" not in flat_counters(instr)
+        assert "pairs_out" in str(instr.report())
 
 
 class TestWorkerPool:
@@ -390,66 +419,3 @@ class TestCaseStudyPoolLifecycle:
             assert isinstance(pool, WorkerPool)
             assert run.worker_pool is pool  # one pool per run
         assert not pool.active or pool._executor is None
-
-
-class TestProbePayloadOrderStability:
-    """Probe order must survive the pickle boundary to worker processes.
-
-    An unpickled frozenset can iterate in a different order than the
-    original (reinsertion may produce a different hash-table layout), so
-    any chunk payload whose *output order* depends on token iteration
-    order must ship that order as a list, materialized in the parent.
-    """
-
-    @staticmethod
-    def _order_changing_frozenset():
-        """A frozenset whose pickle round trip reorders iteration.
-
-        Depends on this process's string-hash seed, so search for a
-        witness instead of hard-coding one.
-        """
-        import pickle
-        import random
-
-        rng = random.Random(7)
-        for size in range(8, 64):
-            for attempt in range(200):
-                items = [f"tok{rng.randrange(10**6)}_{i}" for i in range(size)]
-                rng.shuffle(items)
-                s = frozenset(items)
-                if list(pickle.loads(pickle.dumps(s))) != list(s):
-                    return s
-        return None
-
-    def test_coefficient_probe_order_survives_pickle(self):
-        import pickle
-
-        from repro.blocking.overlap_family import _probe_chunk
-        from repro.runtime.columnar import TokenColumn
-        from repro.similarity.batch import overlap_coefficient_at_least_batch
-        from repro.text.intern import Vocabulary, id_array
-
-        witness = self._order_changing_frozenset()
-        if witness is None:
-            pytest.skip("no order-changing frozenset under this hash seed")
-        # The probe ships as an id array in the parent frozenset's
-        # iteration order. One right record per left token: every
-        # candidate survives, so emission replays the probe order.
-        vocab = Vocabulary()
-        probe = id_array(vocab.intern(tok) for tok in witness)
-        rids = tuple(f"r{i}" for i in range(len(probe)))
-        index = {tid: [rid] for tid, rid in zip(probe, rids)}
-        payload = (
-            ["l0"],
-            [probe],
-            TokenColumn.from_sets([frozenset(probe)]),
-            rids,
-            TokenColumn.from_sets([frozenset([tid]) for tid in probe]),
-            index,
-            overlap_coefficient_at_least_batch,
-            1e-9,
-        )
-        shipped = pickle.loads(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        assert _probe_chunk(*shipped) == _probe_chunk(*payload)

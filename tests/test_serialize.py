@@ -6,12 +6,11 @@ import pytest
 from repro.blocking import (
     AttrEquivalenceBlocker,
     BlockSizePolicy,
-    MinHashLSHBlocker,
     OverlapBlocker,
     OverlapCoefficientBlocker,
     ShardedOverlapBlocker,
     ShardedOverlapCoefficientBlocker,
-    SimHashBlocker,
+    create_blocker,
     full_cross_product,
 )
 from repro.core import EMWorkflow, PackagedWorkflow, feature_from_name, feature_set_from_names
@@ -21,7 +20,7 @@ from repro.core.serialize import (
     serialize_blocker,
     serialize_model,
 )
-from repro.errors import WorkflowError
+from repro.errors import BlockingError, WorkflowError
 from repro.features import extract_feature_vectors, generate_features
 from repro.matchers import MLMatcher
 from repro.ml import (
@@ -138,9 +137,11 @@ class TestBlockerSerialization:
             ShardedOverlapCoefficientBlocker("AwardTitle", "AwardTitle",
                                              threshold=0.5, shards=2,
                                              block_size_policy=3),
-            MinHashLSHBlocker("AwardTitle", "AwardTitle", threshold=0.3,
-                              bands=16, rows=2, seed=7),
-            SimHashBlocker("AwardTitle", "AwardTitle", max_hamming=8, seed=3),
+            OverlapCoefficientBlocker("AwardTitle", "AwardTitle", threshold=0.5,
+                                      block_size_policy=4),
+            ShardedOverlapBlocker("AwardTitle", "AwardTitle", threshold=2,
+                                  normalizer=normalize_title, shards=3,
+                                  block_size_policy=6),
         ],
     )
     def test_roundtrip(self, blocker):
@@ -175,6 +176,82 @@ class TestBlockerSerialization:
         clone = deserialize_blocker(serialize_blocker(blocker))
         assert type(clone) is ShardedOverlapBlocker
         assert clone.shards == 5
+
+    @pytest.mark.parametrize("cap", [None, 7])
+    def test_payloads_pinned(self, cap):
+        """Every kind's payload, literally: store keys hash these dicts,
+        so any change here would orphan stored artifacts."""
+        capped = {} if cap is None else {"max_block_size": cap}
+        cases = [
+            (
+                AttrEquivalenceBlocker("A", "B", l_preprocess=award_number_suffix,
+                                       block_size_policy=cap),
+                {"kind": "attr_equivalence", "l_attr": "A", "r_attr": "B",
+                 "l_preprocess": "award_number_suffix", "r_preprocess": None},
+            ),
+            (
+                OverlapBlocker("A", "B", threshold=3, normalizer=normalize_title,
+                               block_size_policy=cap),
+                {"kind": "overlap", "l_attr": "A", "r_attr": "B", "threshold": 3,
+                 "normalizer": "normalize_title"},
+            ),
+            (
+                OverlapCoefficientBlocker("A", "B", threshold=0.7,
+                                          block_size_policy=cap),
+                {"kind": "overlap_coefficient", "l_attr": "A", "r_attr": "B",
+                 "threshold": 0.7, "normalizer": None},
+            ),
+            (
+                ShardedOverlapBlocker("A", "B", threshold=2, shards=8,
+                                      normalizer=normalize_title,
+                                      block_size_policy=cap),
+                {"kind": "sharded_overlap", "l_attr": "A", "r_attr": "B",
+                 "threshold": 2, "normalizer": "normalize_title", "shards": 8},
+            ),
+            (
+                ShardedOverlapCoefficientBlocker("A", "B", threshold=0.5,
+                                                 shards=3, block_size_policy=cap),
+                {"kind": "sharded_overlap_coefficient", "l_attr": "A",
+                 "r_attr": "B", "threshold": 0.5, "normalizer": None,
+                 "shards": 3},
+            ),
+        ]
+        for blocker, expected in cases:
+            payload = serialize_blocker(blocker)
+            # key order too: fingerprints hash the payload as written
+            assert list(payload.items()) == list({**expected, **capped}.items())
+            assert serialize_blocker(deserialize_blocker(payload)) == payload
+
+
+class TestRetiredBlockerKinds:
+    """The MinHash-LSH and SimHash blockers are gone; stored configs that
+    name them fail with typed errors naming the kind."""
+
+    PAYLOADS = {
+        "minhash_lsh": {"kind": "minhash_lsh", "l_attr": "t", "r_attr": "t",
+                        "threshold": 0.4, "bands": 16, "rows": 4, "seed": 9,
+                        "normalizer": None},
+        "simhash": {"kind": "simhash", "l_attr": "t", "r_attr": "t",
+                    "max_hamming": 8, "seed": 3, "normalizer": None},
+    }
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_deserialize_blocker_raises_workflow_error(self, kind):
+        with pytest.raises(WorkflowError, match=kind):
+            deserialize_blocker(dict(self.PAYLOADS[kind]))
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_packaged_workflow_raises_workflow_error(self, kind):
+        package, *_ = TestPackagedWorkflow().build_package()
+        payload = package.to_dict()
+        payload["blockers"] = [dict(self.PAYLOADS[kind])]
+        with pytest.raises(WorkflowError, match=kind):
+            PackagedWorkflow.from_dict(payload)
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_create_blocker_raises_blocking_error(self, kind):
+        with pytest.raises(BlockingError, match=kind):
+            create_blocker(dict(self.PAYLOADS[kind]))
 
 
 class TestPackagedWorkflow:
