@@ -35,11 +35,11 @@ def test_store_incremental_patch_replay(benchmark, run, tmp_path, emit_report):
     # cold run: Figure 9 with an empty store (every stage computes + stores)
     root = tmp_path / "store"
     cold_store = ArtifactStore(root)
-    cold_session = EngineSession(store=cold_store)
-    started = time.perf_counter()
-    cold = run_combined_workflow(*common, with_negative_rules=False,
-                                 session=cold_session)
-    cold_seconds = time.perf_counter() - started
+    with EngineSession(store=cold_store) as cold_session:
+        started = time.perf_counter()
+        cold = run_combined_workflow(*common, with_negative_rules=False,
+                                     session=cold_session)
+        cold_seconds = time.perf_counter() - started
 
     # warm replay: Figure 10 (the Section-10 patch) over the same store
     # root — driven by an ambient EngineSession instead of an explicit

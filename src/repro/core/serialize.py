@@ -49,7 +49,7 @@ from ..rules.negative import default_negative_rules
 from ..rules.positive import award_project_rule, m1_rule
 from ..text.normalize import normalize_title
 from ..text.patterns import award_number_suffix
-from ..text.tokenizers import TOKENIZERS
+from ..text.tokenizers import TOKENIZERS, whitespace
 from .workflow import EMWorkflow
 
 # ----------------------------------------------------------------------
@@ -239,6 +239,13 @@ def _preprocessor_name(fn) -> str | None:
     raise WorkflowError(f"cannot package preprocessor {fn!r}; register it first")
 
 
+def _tokenizer_name(fn) -> str:
+    for name, candidate in TOKENIZERS.items():
+        if candidate is fn:
+            return name
+    raise WorkflowError(f"cannot package tokenizer {fn!r}; register it first")
+
+
 def _policy_payload(blocker) -> dict[str, Any]:
     """``{"max_block_size": n}`` when capped, else ``{}``.
 
@@ -295,6 +302,10 @@ def serialize_blocker(blocker) -> dict[str, Any]:
     }
     if isinstance(blocker, _SHARDED):
         payload["shards"] = blocker.shards
+    if blocker.tokenizer is not whitespace:
+        # omitted for the default, so whitespace payloads (and the store
+        # keys hashing them) read as they did before the field existed
+        payload["tokenizer"] = _tokenizer_name(blocker.tokenizer)
     return {**payload, **_policy_payload(blocker)}
 
 
@@ -311,8 +322,13 @@ def deserialize_blocker(payload: dict[str, Any]):
     if cls is None:
         raise WorkflowError(f"unknown blocker kind {kind!r}")
     shards = {"shards": payload["shards"]} if issubclass(cls, _SHARDED) else {}
+    tokenizer_name = payload.get("tokenizer")
+    tokenizer = whitespace if tokenizer_name is None else TOKENIZERS.get(tokenizer_name)
+    if tokenizer is None:
+        raise WorkflowError(f"unknown tokenizer {tokenizer_name!r}")
     return cls(
         payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
+        tokenizer=tokenizer,
         normalizer=_PREPROCESSORS[payload["normalizer"]],
         **shards,
         **_policy_arg(payload),

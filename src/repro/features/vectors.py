@@ -72,6 +72,13 @@ class FeatureMatrix:
     _row_index: dict[Pair, int] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Content fingerprint carried from the artifact store: set when the
+    #: store encodes or decodes this matrix, read by
+    #: :func:`~repro.store.fingerprint.fingerprint_matrix`. Derived
+    #: matrices (``select_rows``, ``impute_means``) start without one.
+    _fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.values.shape != (len(self.pairs), len(self.feature_names)):

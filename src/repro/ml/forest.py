@@ -48,11 +48,16 @@ class RandomForestClassifier(Classifier):
         self.seed = seed
         self._trees: list[DecisionTreeClassifier] = []
         self._packed: _PackedTrees | None = None
+        #: Memoised canonical encoding of the fitted forest, filled by
+        #: :func:`repro.store.fingerprint.fingerprint_matcher`; dropped
+        #: with ``_packed``.
+        self._canonical: bytes | None = None
 
     def _reset(self) -> None:
         super()._reset()
         self._trees = []
         self._packed = None
+        self._canonical = None
 
     def fit(self, X, y) -> "RandomForestClassifier":
         X, y = check_X_y(X, y)
@@ -71,6 +76,7 @@ class RandomForestClassifier(Classifier):
             tree._fit_checked(X[indices], y[indices])
             self._trees.append(tree)
         self._packed = None
+        self._canonical = None
         self._fitted = True
         return self
 

@@ -172,6 +172,10 @@ class DecisionTreeClassifier(Classifier):
         self._n_features = 0
         self._importances: np.ndarray | None = None
         self._packed: _PackedTrees | None = None
+        #: Memoised canonical encoding of the fitted tree, filled by
+        #: :func:`repro.store.fingerprint.fingerprint_matcher`; dropped
+        #: with ``_packed``.
+        self._canonical: bytes | None = None
 
     def _reset(self) -> None:
         super()._reset()
@@ -179,6 +183,7 @@ class DecisionTreeClassifier(Classifier):
         self._n_features = 0
         self._importances = None
         self._packed = None
+        self._canonical = None
 
     # ------------------------------------------------------------------
     # fitting
@@ -288,6 +293,7 @@ class DecisionTreeClassifier(Classifier):
         )
         self._root = self._build(X, y, 0, fit)
         self._packed = None
+        self._canonical = None
         total = self._importances.sum()
         if total > 0:
             self._importances /= total

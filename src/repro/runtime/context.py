@@ -240,14 +240,17 @@ class EngineSession:
     def close(self) -> None:
         """Release everything the session owns (idempotent).
 
-        Shuts down the session-created worker pool and closes the
-        session-created trace writer; injected pools and externally built
-        instrumentation are the caller's to manage.
+        Shuts down the session-created worker pool, closes the
+        session-created trace writer and flushes the store (writing the
+        state its hits deferred and ending its run); injected pools and
+        externally built instrumentation are the caller's to manage.
         """
-        self._closed = True
+        was_closed, self._closed = self._closed, True
         owned, self._owned_pool = self._owned_pool, None
         if owned is not None and os.getpid() == self._pid:
             owned.shutdown()
+        if self.store is not None and not was_closed and os.getpid() == self._pid:
+            self.store.flush()
         writer, self._owned_writer = self._owned_writer, None
         if writer is not None:
             writer.close()

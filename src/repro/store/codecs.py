@@ -24,6 +24,7 @@ from ..errors import StoreError
 from ..features.vectors import FeatureMatrix
 from ..labeling.labels import Label, LabeledPairs
 from ..ml.impute import MeanImputer
+from .fingerprint import fingerprint_matrix
 
 Payload = dict[str, Any]
 
@@ -91,9 +92,14 @@ class FeatureMatrixCodec(ArtifactCodec):
     kind = "feature_matrix"
 
     def encode(self, matrix: FeatureMatrix) -> tuple[Payload, str | None]:
+        # the content fingerprint travels with the artifact, and with the
+        # live matrix the store hands back: a predict stage downstream
+        # reads it instead of re-walking every pair and cell
+        matrix._fingerprint = fingerprint_matrix(matrix)
         payload = {
             "pairs": [list(p) for p in matrix.pairs],
             "feature_names": list(matrix.feature_names),
+            "fingerprint": matrix._fingerprint,
         }
         lines = [
             ",".join(_format_cell(v) for v in row) for row in matrix.values
@@ -111,7 +117,10 @@ class FeatureMatrixCodec(ArtifactCodec):
             if line
         ]
         values = np.asarray(rows, dtype=float).reshape(len(pairs), len(names))
-        return FeatureMatrix(pairs=pairs, feature_names=names, values=values)
+        matrix = FeatureMatrix(pairs=pairs, feature_names=names, values=values)
+        # artifacts written before fingerprints were carried have none
+        matrix._fingerprint = payload.get("fingerprint")
+        return matrix
 
 
 class LabeledPairsCodec(ArtifactCodec):

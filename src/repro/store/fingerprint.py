@@ -10,8 +10,8 @@ when every input fingerprint (plus the code-version salt) is unchanged.
 
 Configured components fingerprint through their *recipes*, not their
 Python objects: blockers via :func:`repro.core.serialize.serialize_blocker`
-(plus the tokenizer registry, which the packaging format does not need but
-a cache key does), feature sets via their
+(plus the tokenizer's registry name even where the packaging format omits
+the default), feature sets via their
 :attr:`~repro.features.feature.Feature.spec` tuples, matchers via
 :func:`repro.core.serialize.serialize_model`. Anything that cannot be
 reduced to plain data — a custom feature function, an unregistered
@@ -48,6 +48,20 @@ CODE_SALT = "repro-store/4"
 # ----------------------------------------------------------------------
 # canonical byte encoding
 # ----------------------------------------------------------------------
+class _Encoded:
+    """Canonical bytes computed earlier, spliced into a walk unchanged.
+
+    ``_walk(_Encoded(canonical_bytes(x)), out)`` emits exactly what
+    ``_walk(x, out)`` would, so a memoised encoding can stand in for its
+    value without changing any digest.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+
 def _walk(obj: Any, out: list[bytes]) -> None:
     if obj is None:
         out.append(b"N;")
@@ -86,6 +100,8 @@ def _walk(obj: Any, out: list[bytes]) -> None:
         for item in sorted(obj, key=canonical_bytes):
             _walk(item, out)
         out.append(b"}")
+    elif isinstance(obj, _Encoded):
+        out.append(obj.data)
     else:
         raise UncacheableError(
             f"cannot fingerprint a {type(obj).__name__} value: {obj!r}"
@@ -193,15 +209,6 @@ def fingerprint_table_segments(
 # ----------------------------------------------------------------------
 # callables go through registries — identity of code, not of objects
 # ----------------------------------------------------------------------
-def _tokenizer_name(fn: Any) -> str:
-    from ..text.tokenizers import TOKENIZERS
-
-    for name, candidate in TOKENIZERS.items():
-        if candidate is fn:
-            return name
-    raise UncacheableError(f"tokenizer {fn!r} is not in the TOKENIZERS registry")
-
-
 def _extractor_name(fn: Any) -> str:
     from ..rules.positive import _identity
     from ..text.patterns import award_number_suffix
@@ -221,20 +228,19 @@ def _extractor_name(fn: Any) -> str:
 def fingerprint_blocker(blocker: Any) -> str:
     """Fingerprint a blocker's full configuration.
 
-    Reuses the :mod:`repro.core.serialize` packaging recipe, extended with
-    the tokenizer's registry name (two overlap blockers differing only in
-    tokenizer must not share a cache key, even though the packaging format
-    pins the default tokenizer and does not record it).
+    Reuses the :mod:`repro.core.serialize` packaging recipe, with the
+    tokenizer's registry name always present: the packaging format omits
+    the default (``ws``), while store keys have always recorded it.
     """
-    from ..core.serialize import serialize_blocker
+    from ..core.serialize import _tokenizer_name, serialize_blocker
 
     try:
         config = serialize_blocker(blocker)
+        tokenizer = getattr(blocker, "tokenizer", None)
+        if tokenizer is not None:
+            config["tokenizer"] = _tokenizer_name(tokenizer)
     except WorkflowError as exc:
         raise UncacheableError(str(exc)) from exc
-    tokenizer = getattr(blocker, "tokenizer", None)
-    if tokenizer is not None:
-        config["tokenizer"] = _tokenizer_name(tokenizer)
     return fingerprint_value(config)
 
 
@@ -267,8 +273,36 @@ def fingerprint_feature_set(feature_set: Iterable[Any]) -> str:
 
 
 def fingerprint_pairs(pairs: Sequence[Any]) -> str:
-    """Fingerprint an ordered list of (left-id, right-id) pairs."""
-    return fingerprint_value([list(p) for p in pairs])
+    """Fingerprint an ordered list of (left-id, right-id) pairs.
+
+    Equal to ``fingerprint_value([list(p) for p in pairs])``. Pairs of
+    ``str``/``int`` ids are encoded here directly, each distinct id once;
+    anything else (``bool``, NumPy or float ids, other arities) takes the
+    generic walk.
+    """
+    encoded: dict[Any, bytes] = {}
+    out = [b"L%d[" % len(pairs)]
+    for pair in pairs:
+        if len(pair) != 2:
+            return fingerprint_value([list(p) for p in pairs])
+        out.append(b"L2[")
+        for item in pair:
+            kind = type(item)
+            if kind is str:
+                data = encoded.get(item)
+                if data is None:
+                    raw = item.encode("utf-8")
+                    data = encoded[item] = b"S%d:%s" % (len(raw), raw)
+            elif kind is int:
+                data = encoded.get(item)
+                if data is None:
+                    data = encoded[item] = b"I%d;" % item
+            else:
+                return fingerprint_value([list(p) for p in pairs])
+            out.append(data)
+        out.append(b"]")
+    out.append(b"]")
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 def fingerprint_labels(labels: Any) -> str:
@@ -278,22 +312,40 @@ def fingerprint_labels(labels: Any) -> str:
     )
 
 
-def fingerprint_matcher(matcher: Any) -> str:
-    """Fingerprint a *fitted* ML matcher (model structure + imputer means)."""
+def _model_bytes(model: Any) -> bytes:
+    """Canonical bytes of ``serialize_model(model)``, memoised on the model.
+
+    The tree learners keep the memo in ``_canonical`` and drop it wherever
+    they drop their packed prediction arrays (``fit``, ``_reset`` and so
+    ``clone``), so a refit model never serves a stale encoding.
+    """
     from ..core.serialize import serialize_model
 
+    cached = getattr(model, "_canonical", None)
+    if cached is None:
+        try:
+            cached = canonical_bytes(serialize_model(model))
+        except WorkflowError as exc:
+            raise UncacheableError(str(exc)) from exc
+        model._canonical = cached
+    return cached
+
+
+def fingerprint_matcher(matcher: Any) -> str:
+    """Fingerprint a *fitted* ML matcher (model structure + imputer means).
+
+    The model's encoding is memoised (:func:`_model_bytes`); the name,
+    imputer means and feature names are re-read on every call, so swapping
+    a matcher's imputer can never hit a stale memo.
+    """
     if not matcher.is_fitted:
         raise UncacheableError(
             f"matcher {matcher.name!r} is unfitted; only trained matchers fingerprint"
         )
-    try:
-        model = serialize_model(matcher.model)
-    except WorkflowError as exc:
-        raise UncacheableError(str(exc)) from exc
     return fingerprint_value(
         {
             "name": matcher.name,
-            "model": model,
+            "model": _Encoded(_model_bytes(matcher.model)),
             "imputer_means": [float(v) for v in matcher._imputer._means],
             "features": list(matcher._feature_names or []),
         }
@@ -301,7 +353,17 @@ def fingerprint_matcher(matcher: Any) -> str:
 
 
 def fingerprint_matrix(matrix: Any) -> str:
-    """Fingerprint a :class:`~repro.features.vectors.FeatureMatrix` by content."""
+    """Fingerprint a :class:`~repro.features.vectors.FeatureMatrix` by content.
+
+    A matrix decoded from the store carries the fingerprint its payload
+    recorded, and one encoded into the store keeps the digest computed
+    for its payload (see :class:`~repro.store.codecs.FeatureMatrixCodec`);
+    either is returned without re-walking the matrix. Every other matrix
+    is walked on each call.
+    """
+    carried = matrix._fingerprint
+    if carried is not None:
+        return carried
     return fingerprint_value(
         {
             "pairs": [list(p) for p in matrix.pairs],

@@ -14,7 +14,14 @@ then explained by exactly which inputs changed (a Section-10 patch replay
 shows ``predict`` missing because ``matcher`` changed while every blocking
 and extraction stage hits). Labels repeat deterministically across runs
 (the pipeline's call order is fixed), so each call site compares against
-its own previous incarnation via an occurrence counter.
+its own previous incarnation via an occurrence counter, which
+:meth:`ArtifactStore.flush` restarts at the end of each run.
+
+A miss, an eviction or :meth:`~ArtifactStore.clear` writes ``manifest.json``
+and ``index.json`` at once; a hit only marks them dirty, and
+:meth:`~ArtifactStore.flush` (called when an
+:class:`~repro.runtime.context.EngineSession` closes) writes them once.
+Every state write is atomic: temp file, fsync, ``os.replace``.
 
 Layout under ``root/``::
 
@@ -30,6 +37,8 @@ Stores are optional everywhere: a session's ``store`` defaults to
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
@@ -123,6 +132,8 @@ class ArtifactStore:
         raw = self._load_json(self.root / "index.json", {"seq": 0, "entries": {}})
         self._index = _Index(seq=int(raw["seq"]), entries=dict(raw["entries"]))
         self._label_calls: dict[str, int] = {}
+        #: hits changed the manifest/index since they were last written
+        self._dirty = False
 
     # ------------------------------------------------------------------
     # persistence helpers
@@ -136,14 +147,41 @@ class ArtifactStore:
         except (OSError, ValueError) as exc:
             raise StoreError(f"corrupt store file {path}: {exc}") from exc
 
+    @staticmethod
+    def _write_atomic(path: Path, text: str) -> None:
+        """Replace *path* with *text*: a reader sees the old file or the
+        new one, never a torn write."""
+        # a unique name opened like any other file (mkstemp would make
+        # it 0600, unlike the file it replaces)
+        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+        try:
+            with open(tmp, "x", encoding="utf-8") as handle:
+                handle.write(text)
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
     def _save_state(self) -> None:
-        (self.root / "manifest.json").write_text(
-            json.dumps(self._manifest, sort_keys=True), encoding="utf-8"
+        self._write_atomic(
+            self.root / "manifest.json", json.dumps(self._manifest, sort_keys=True)
         )
-        (self.root / "index.json").write_text(
+        self._write_atomic(
+            self.root / "index.json",
             json.dumps({"seq": self._index.seq, "entries": self._index.entries}),
-            encoding="utf-8",
         )
+        self._dirty = False
+
+    def flush(self) -> None:
+        """End a run: write any state hits deferred, and restart the
+        label sequence so the next run's stages compare against this
+        run's manifest slots. :meth:`EngineSession.close
+        <repro.runtime.context.EngineSession.close>` calls it."""
+        if self._dirty:
+            self._save_state()
+        self._label_calls.clear()
 
     def _paths(self, kind: str, digest: str) -> tuple[Path, Path]:
         if not kind or not set(kind) <= _SAFE_KIND:
@@ -200,7 +238,7 @@ class ArtifactStore:
             self._record(label, kind, digest, "hit", "reused (all inputs unchanged)")
             self._touch(kind, digest)
             self._remember(label, digest, parts)
-            self._save_state()
+            self._dirty = True  # written by flush(), once per run
             return obj
         reason = self._miss_reason(label, parts)
         self.misses += 1

@@ -1,8 +1,8 @@
 """Property-based tests for store fingerprints and blocker invariants.
 
 Uses a lightweight in-repo generator (seeded ``numpy`` RNG, fixed case
-count) rather than hypothesis: the properties here need breadth over
-random tables, not shrinking.
+count) for the table properties, which need breadth over random tables,
+not shrinking; the pair-list fast path is checked with hypothesis.
 
 Properties:
 
@@ -10,6 +10,8 @@ Properties:
   never matter);
 * any single-cell or single-parameter perturbation => different
   fingerprint (the store can never serve stale artifacts);
+* ``fingerprint_pairs`` equals the generic walk over ``[list(p) ...]``
+  for str, int and mixed ids, and for ids its fast path does not take;
 * canonical encoding separates types (``1`` vs ``1.0`` vs ``"1"`` vs
   ``[1]``) and ignores dict ordering;
 * metamorphic: permuting the row order of blocker inputs never changes
@@ -25,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.blocking import (
     AttrEquivalenceBlocker,
@@ -163,6 +167,51 @@ class TestFingerprintPerturbation:
         assert fingerprint_pairs([(1, 2), (3, 4)]) != fingerprint_pairs(
             [(3, 4), (1, 2)]
         )
+
+
+def generic_pairs_fingerprint(pairs) -> str:
+    return fingerprint_value([list(p) for p in pairs])
+
+
+ID_STRATEGIES = {
+    "str": st.text(),  # includes non-ASCII and surrogate-free code points
+    "int": st.integers(),
+    "mixed": st.one_of(st.text(max_size=4), st.integers(-3, 3)),
+}
+
+
+class TestPairFingerprintFastPath:
+    @pytest.mark.parametrize("kind", sorted(ID_STRATEGIES))
+    def test_equals_generic_walk(self, kind):
+        ids = ID_STRATEGIES[kind]
+
+        @given(st.lists(st.tuples(ids, ids), max_size=30))
+        def check(pairs):
+            assert fingerprint_pairs(pairs) == generic_pairs_fingerprint(pairs)
+            as_lists = [list(p) for p in pairs]
+            assert fingerprint_pairs(as_lists) == generic_pairs_fingerprint(pairs)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [],
+            [("é", "日本"), ("\u00e9", "e\u0301")],
+            [(1, "1"), ("1", 1)],
+            [(True, 1), (1, True)],
+            [(np.int64(3), 4)],
+            [(1.0, 2)],
+            [(1, 2, 3)],
+            [(1, 2), (3,)],
+            [((1, 2), "x")],
+        ],
+    )
+    def test_edge_ids_equal_generic_walk(self, pairs):
+        assert fingerprint_pairs(pairs) == generic_pairs_fingerprint(pairs)
+
+    def test_bool_and_int_ids_differ(self):
+        assert fingerprint_pairs([(1, 0)]) != fingerprint_pairs([(True, False)])
 
 
 class TestCanonicalEncoding:

@@ -31,6 +31,7 @@ from repro.ml import (
 from repro.rules import default_negative_rules, m1_rule
 from repro.table import Table
 from repro.text import award_number_suffix, normalize_title
+from repro.text.tokenizers import TOKENIZERS
 
 
 def fitted_tree(n=80, seed=0):
@@ -176,6 +177,46 @@ class TestBlockerSerialization:
         clone = deserialize_blocker(serialize_blocker(blocker))
         assert type(clone) is ShardedOverlapBlocker
         assert clone.shards == 5
+
+    @pytest.mark.parametrize(
+        "cls, threshold, extra",
+        [
+            (OverlapBlocker, 2, {}),
+            (OverlapCoefficientBlocker, 0.3, {}),
+            (ShardedOverlapBlocker, 2, {"shards": 3}),
+        ],
+    )
+    def test_qgram_tokenizer_roundtrip(self, cls, threshold, extra):
+        blocker = cls("t", "t", threshold=threshold,
+                      tokenizer=TOKENIZERS["qgm_3"], **extra)
+        payload = serialize_blocker(blocker)
+        assert payload["tokenizer"] == "qgm_3"
+        clone = deserialize_blocker(payload)
+        assert clone.tokenizer is TOKENIZERS["qgm_3"]
+        assert serialize_blocker(clone) == payload
+        # q-grams join "abcd" with "xabcdx"; whitespace tokens never do
+        left = Table({"id": [1, 2], "t": ["abcd", "zz"]}, name="L")
+        right = Table({"id": [3, 4], "t": ["xabcdx", "qq"]}, name="R")
+        pairs = blocker.block_tables(left, right, "id", "id").pairs
+        assert pairs == [(1, 3)]
+        assert clone.block_tables(left, right, "id", "id").pairs == pairs
+
+    def test_whitespace_tokenizer_omitted(self):
+        payload = serialize_blocker(
+            OverlapBlocker("t", "t", threshold=2, tokenizer=TOKENIZERS["ws"])
+        )
+        assert "tokenizer" not in payload
+        assert deserialize_blocker(payload).tokenizer is TOKENIZERS["ws"]
+
+    def test_unregistered_tokenizer_rejected(self):
+        blocker = OverlapBlocker("t", "t", threshold=2, tokenizer=str.split)
+        with pytest.raises(WorkflowError, match="tokenizer"):
+            serialize_blocker(blocker)
+
+    def test_unknown_tokenizer_name_rejected(self):
+        payload = serialize_blocker(OverlapBlocker("t", "t", threshold=2))
+        with pytest.raises(WorkflowError, match="qgm_9"):
+            deserialize_blocker({**payload, "tokenizer": "qgm_9"})
 
     @pytest.mark.parametrize("cap", [None, 7])
     def test_payloads_pinned(self, cap):

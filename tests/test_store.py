@@ -3,18 +3,21 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from repro.blocking import AttrEquivalenceBlocker, CandidateSet, OverlapBlocker
 from repro.core import EMWorkflow
+from repro.core.serialize import serialize_model
 from repro.errors import StoreError, UncacheableError
 from repro.features import extract_feature_vectors, generate_features
 from repro.features.vectors import FeatureMatrix
 from repro.labeling import Label, LabeledPairs
 from repro.matchers import MLMatcher
-from repro.ml import DecisionTreeClassifier
+from repro.ml import DecisionTreeClassifier, RandomForestClassifier
+from repro.ml.impute import MeanImputer
 from repro.rules import ExactNumberRule
 from repro.runtime import EngineSession
 from repro.runtime.instrument import Instrumentation
@@ -25,6 +28,8 @@ from repro.store import (
     MATCHER,
     PAIR_LIST,
     ArtifactStore,
+    fingerprint_matcher,
+    fingerprint_matrix,
     fingerprint_value,
 )
 from repro.table import Table
@@ -300,3 +305,262 @@ class TestStageWrappers:
 
     def test_uncacheable_error_is_store_error(self):
         assert issubclass(UncacheableError, StoreError)
+
+
+# ----------------------------------------------------------------------
+# memoised and carried fingerprints
+# ----------------------------------------------------------------------
+def scratch_matrix_fingerprint(matrix) -> str:
+    """``fingerprint_matrix`` without a carried fingerprint: walk it all."""
+    return fingerprint_value(
+        {
+            "pairs": [list(p) for p in matrix.pairs],
+            "features": list(matrix.feature_names),
+            "values": matrix.values,
+        }
+    )
+
+
+def scratch_matcher_fingerprint(matcher) -> str:
+    """``fingerprint_matcher`` without the model memo: serialise it all."""
+    return fingerprint_value(
+        {
+            "name": matcher.name,
+            "model": serialize_model(matcher.model),
+            "imputer_means": [float(v) for v in matcher._imputer._means],
+            "features": list(matcher._feature_names or []),
+        }
+    )
+
+
+def scratch_pairs_fingerprint(pairs) -> str:
+    """``fingerprint_pairs`` through the generic walk."""
+    return fingerprint_value([list(p) for p in pairs])
+
+
+def small_matrix(seed: int, n: int = 40) -> FeatureMatrix:
+    rng = np.random.default_rng(seed)
+    return FeatureMatrix(
+        pairs=[(i, f"r{i}") for i in range(n)],
+        feature_names=["a", "b", "c"],
+        values=rng.uniform(size=(n, 3)),
+    )
+
+
+MODELS = [
+    lambda: DecisionTreeClassifier(min_samples_leaf=2),
+    lambda: RandomForestClassifier(n_trees=3, seed=4),
+]
+
+
+class TestMatcherFingerprintMemo:
+    @pytest.mark.parametrize("make_model", MODELS)
+    def test_memo_matches_scratch(self, make_model):
+        matrix = small_matrix(0)
+        matcher = MLMatcher(make_model(), "M").fit(
+            matrix, (matrix.values[:, 0] > 0.5).astype(int)
+        )
+        first = fingerprint_matcher(matcher)
+        assert matcher.model._canonical is not None
+        assert fingerprint_matcher(matcher) == first
+        assert first == scratch_matcher_fingerprint(matcher)
+
+    @pytest.mark.parametrize("make_model", MODELS)
+    def test_refit_gets_new_fingerprint(self, make_model):
+        matrix = small_matrix(0)
+        matcher = MLMatcher(make_model(), "M")
+        matcher.fit(matrix, (matrix.values[:, 0] > 0.5).astype(int))
+        before = fingerprint_matcher(matcher)
+        matcher.fit(matrix, (matrix.values[:, 1] > 0.5).astype(int))
+        after = fingerprint_matcher(matcher)
+        assert after != before
+        assert after == scratch_matcher_fingerprint(matcher)
+
+    @pytest.mark.parametrize("make_model", MODELS)
+    def test_clone_carries_no_memo(self, make_model):
+        matrix = small_matrix(0)
+        matcher = MLMatcher(make_model(), "M").fit(
+            matrix, (matrix.values[:, 0] > 0.5).astype(int)
+        )
+        fingerprint_matcher(matcher)
+        assert matcher.model._canonical is not None
+        assert matcher.clone().model._canonical is None
+        assert matcher.model.clone()._canonical is None
+
+    @pytest.mark.parametrize("make_model", MODELS)
+    def test_decoded_matcher_fingerprints_like_original(self, make_model):
+        matrix = small_matrix(0)
+        matcher = MLMatcher(make_model(), "M").fit(
+            matrix, (matrix.values[:, 0] > 0.5).astype(int)
+        )
+        original = fingerprint_matcher(matcher)
+        back = MATCHER.decode(*MATCHER.encode(matcher))
+        assert back.model._canonical is None
+        assert fingerprint_matcher(back) == original
+
+    def test_swapped_imputer_is_never_stale(self):
+        matrix = small_matrix(0)
+        matcher = MLMatcher(DecisionTreeClassifier(), "M").fit(
+            matrix, (matrix.values[:, 0] > 0.5).astype(int)
+        )
+        before = fingerprint_matcher(matcher)
+        imputer = MeanImputer()
+        imputer._means = matcher._imputer._means + 1.0
+        matcher._imputer = imputer
+        assert fingerprint_matcher(matcher) != before
+        assert fingerprint_matcher(matcher) == scratch_matcher_fingerprint(matcher)
+
+
+class TestMatrixFingerprintCarry:
+    def test_codec_carries_fingerprint_both_ways(self):
+        matrix = small_matrix(1)
+        expected = scratch_matrix_fingerprint(matrix)
+        payload, sidecar = FEATURE_MATRIX.encode(matrix)
+        assert payload["fingerprint"] == expected
+        assert matrix._fingerprint == expected
+        back = FEATURE_MATRIX.decode(payload, sidecar)
+        assert back._fingerprint == expected
+        assert fingerprint_matrix(back) == expected
+
+    def test_payload_without_fingerprint_still_decodes(self):
+        matrix = small_matrix(2)
+        payload, sidecar = FEATURE_MATRIX.encode(matrix)
+        del payload["fingerprint"]
+        back = FEATURE_MATRIX.decode(payload, sidecar)
+        assert back._fingerprint is None
+        assert fingerprint_matrix(back) == scratch_matrix_fingerprint(matrix)
+
+    def test_derived_matrices_start_without_fingerprint(self):
+        matrix = small_matrix(3)
+        FEATURE_MATRIX.encode(matrix)
+        subset = matrix.select_rows([0, 2])
+        assert subset._fingerprint is None
+        assert fingerprint_matrix(subset) == scratch_matrix_fingerprint(subset)
+
+
+def _capture_store_ops(monkeypatch) -> list:
+    """Record every cacheable operator a session sends to its store."""
+    ops = []
+    original = EngineSession._stage_result
+
+    def spy(self, op):
+        if self.store is not None and op.cache_kind is not None:
+            ops.append(op)
+        return original(self, op)
+
+    monkeypatch.setattr(EngineSession, "_stage_result", spy)
+    return ops
+
+
+def test_figure10_replay_keys_equal_scratch_keys(case_study, tmp_path, monkeypatch):
+    """Each stage of a warm Figure-10 replay looks up the key that the
+    memo-free, carry-free fingerprints give."""
+    from repro.casestudy import run_combined_workflow, train_workflow_matcher
+    from repro.store import stages
+
+    matcher = train_workflow_matcher(
+        case_study.blocking_v2.candidates, case_study.labeling.labels,
+        case_study.matching.feature_set, case_study.matching.matcher,
+    )
+    args = (case_study.projected_v2, case_study.projected_extra,
+            case_study.labeling.labels, case_study.matching.feature_set, matcher)
+    store = ArtifactStore(tmp_path / "store")
+    with EngineSession(store=store) as session:
+        cold = run_combined_workflow(*args, with_negative_rules=True, session=session)
+    ops = _capture_store_ops(monkeypatch)
+    n_cold = len(store.events)
+    with EngineSession(store=store) as session:
+        warm = run_combined_workflow(*args, with_negative_rules=True, session=session)
+    assert warm.matches == cold.matches
+    replay = store.events[n_cold:]
+    assert len(replay) == len(ops) == n_cold
+    assert {e.status for e in replay} == {"hit"}
+    predicts = [op for op in ops if isinstance(op, stages.PredictStage)]
+    assert predicts and all(op.matrix._fingerprint is not None for op in predicts)
+    assert matcher.model._canonical is not None
+
+    monkeypatch.setattr(stages, "fingerprint_matrix", scratch_matrix_fingerprint)
+    monkeypatch.setattr(stages, "fingerprint_matcher", scratch_matcher_fingerprint)
+    monkeypatch.setattr(stages, "fingerprint_pairs", scratch_pairs_fingerprint)
+    for op, event in zip(ops, replay):
+        assert event.label.startswith(op.label())
+        assert store.digest(op.fingerprint()) == event.digest, event.label
+
+
+# ----------------------------------------------------------------------
+# the write policy: hits defer, flush() writes once and ends the run
+# ----------------------------------------------------------------------
+def _count_state_writes(monkeypatch) -> dict:
+    writes = {"manifest.json": 0, "index.json": 0}
+    original = os.replace
+
+    def spy(src, dst, *args, **kwargs):
+        name = os.path.basename(os.fspath(dst))
+        if name in writes:
+            writes[name] += 1
+        return original(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", spy)
+    return writes
+
+
+class TestWritePolicy:
+    def test_warm_hits_write_state_once_per_session(self, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        labels = [f"stage{i}" for i in range(6)]
+        with EngineSession(store=ArtifactStore(root)) as session:
+            for label in labels:
+                session.store.memoize(
+                    "pairs", label, {"x": label}, lambda: [(1, 2)], PAIR_LIST
+                )
+        writes = _count_state_writes(monkeypatch)
+        store = ArtifactStore(root)
+        with EngineSession(store=store) as session:
+            for _ in range(3):  # N = 18 warm hits in one session
+                for label in labels:
+                    store.memoize(
+                        "pairs", label, {"x": label},
+                        lambda: pytest.fail("warm hit recomputed"), PAIR_LIST,
+                    )
+            assert store.stats().hits == 18
+            assert writes == {"manifest.json": 0, "index.json": 0}
+        assert writes == {"manifest.json": 1, "index.json": 1}
+        # the deferred state reached disk: the LRU order survives a reopen
+        index = json.loads((root / "index.json").read_text())
+        assert index["seq"] == 6 + 18
+
+    def test_misses_write_at_once_and_atomically(self, store, monkeypatch):
+        writes = _count_state_writes(monkeypatch)
+        store.memoize("pairs", "p", {"x": "1"}, lambda: [(1, 2)], PAIR_LIST)
+        assert writes == {"manifest.json": 1, "index.json": 1}
+        store.flush()  # nothing deferred: no second write
+        assert writes == {"manifest.json": 1, "index.json": 1}
+        assert not list(store.root.glob(".*.tmp"))
+        # the replacement keeps the permissions a plain write would give
+        plain = store.root / "plain.txt"
+        plain.write_text("x")
+        for name in ("manifest.json", "index.json"):
+            assert (store.root / name).stat().st_mode == plain.stat().st_mode
+
+    def test_flush_restarts_label_sequence(self, store):
+        for _ in range(2):
+            store.memoize("pairs", "demo", {"x": "1"}, lambda: [], PAIR_LIST)
+        store.flush()
+        store.memoize("pairs", "demo", {"x": "1"}, lambda: [], PAIR_LIST)
+        assert [e.label for e in store.events] == ["demo", "demo#2", "demo"]
+
+    def test_sessions_in_a_row_reuse_labels(self, tmp_path):
+        left, right = make_tables()
+        features = generate_features(left, right, exclude_attrs=["id"])
+        matcher = TestStageWrappers().trained(left, right, features)
+        wf = TestStageWrappers().workflow()
+        store = ArtifactStore(tmp_path / "store")
+        runs = []
+        for _ in range(3):
+            seen = len(store.events)
+            with EngineSession(store=store) as session:
+                wf.run(left, right, "id", "id", matcher, features, session=session)
+            runs.append([e.label for e in store.events[seen:]])
+        assert runs[0] == runs[1] == runs[2]
+        manifest = json.loads((store.root / "manifest.json").read_text())
+        assert set(manifest) == set(runs[0])
