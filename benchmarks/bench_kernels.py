@@ -24,6 +24,15 @@ Two set-measure families are timed, each against the same reference:
 Per-family speedups are reported under ``family_<fam>_<tok>_speedup``
 keys so a regressing family cannot hide behind a blended mean.
 
+A third family, **character**, times the character batch kernels
+(Jaro, Jaro-Winkler, Levenshtein similarity) against their scalar
+references in :mod:`repro.similarity.sequence`, one kernel call per input
+set against one reference call per pair, over two inputs the features
+score: AwardTitle word pairs (Monge-Elkan's inner Jaro-Winkler) and the
+transaction-date strings (the ``lev_sim``/``jaro``/``jw`` value
+features). Each measure is reported as
+``character_<measure>_<input>_speedup`` and asserted ``>= 1.0``.
+
 Writes ``benchmarks/out/kernels.txt`` + ``.json``; the CI perf-smoke job
 runs this bench, re-checks the JSON with
 ``tools/check_kernel_families.py``, and uploads it as an artifact so
@@ -36,7 +45,12 @@ import time
 from repro.runtime.cache import get_default_cache
 from repro.runtime.columnar import TokenColumn
 from repro.similarity import batch, kernels
-from repro.similarity.sequence import levenshtein_distance
+from repro.similarity.sequence import (
+    jaro,
+    jaro_winkler,
+    levenshtein_distance,
+    levenshtein_similarity,
+)
 from repro.similarity.set_based import (
     cosine_set,
     dice,
@@ -50,6 +64,18 @@ from repro.text.tokenizers import TOKENIZERS
 N_PAIRS = 60_000
 N_LEV_PAIRS = 1_500
 LEV_BOUND = 4
+N_CHAR_PAIRS = 20_000
+
+#: (name, scalar reference, batch kernel) for the character family
+CHARACTER_MEASURES = [
+    ("jaro", jaro, batch.jaro_batch),
+    ("jaro_winkler", jaro_winkler, batch.jaro_winkler_batch),
+    (
+        "levenshtein_similarity",
+        levenshtein_similarity,
+        batch.levenshtein_similarity_batch,
+    ),
+]
 
 #: (name, string reference, set kernel, batch kernel)
 MEASURES = [
@@ -83,6 +109,28 @@ def _timed_loop(fn, args_list):
     started = time.perf_counter()
     out = [fn(*args) for args in args_list]
     return out, time.perf_counter() - started
+
+
+def _character_inputs(tables, rng):
+    """{input name: (left strings, right strings)} of N_CHAR_PAIRS each."""
+    words = sorted({
+        word
+        for value in tables.umetrics["AwardTitle"] + tables.usda["AwardTitle"]
+        if value is not None
+        for word in TOKENIZERS["ws"](str(value))
+    })
+    dates = [
+        str(value)
+        for attr in ("FirstTransDate", "LastTransDate")
+        for table in (tables.umetrics, tables.usda)
+        for value in table[attr]
+        if value is not None
+    ]
+    inputs = {}
+    for name, pool in (("tokens", words), ("dates", dates)):
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(N_CHAR_PAIRS)]
+        inputs[name] = ([a for a, _ in pairs], [b for _, b in pairs])
+    return inputs
 
 
 def _timed_batch(kernel, a_entries, b_entries):
@@ -152,6 +200,31 @@ def test_kernel_throughput(run, emit_report):
         )
         lines.append("")
 
+    # character family: one batch call per input set vs scalar calls
+    lines.append(
+        f"character family ({N_CHAR_PAIRS} pairs per input; batch = one "
+        "kernel call, ref = one scalar call per pair)"
+    )
+    for input_name, (col_a, col_b) in _character_inputs(tables, rng).items():
+        speedups = []
+        for name, reference, kernel in CHARACTER_MEASURES:
+            expected, ref_s = _timed_loop(reference, list(zip(col_a, col_b)))
+            started = time.perf_counter()
+            got = kernel(col_a, col_b).tolist()
+            kern_s = time.perf_counter() - started
+            assert got == expected, f"{name}/{input_name}: batch kernel diverged"
+            speedup = ref_s / kern_s
+            speedups.append(speedup)
+            data[f"character_{name}_{input_name}_ref_s"] = ref_s
+            data[f"character_{name}_{input_name}_batch_s"] = kern_s
+            data[f"character_{name}_{input_name}_speedup"] = speedup
+            lines.append(
+                f"  [{input_name}] {name:<24} ref {len(col_a) / ref_s:>9.0f} calls/s"
+                f"  batch {ref_s / kern_s:.2f}x"
+            )
+        data[f"family_character_{input_name}_speedup"] = sum(speedups) / len(speedups)
+    lines.append("")
+
     # threshold-banded Levenshtein vs the unbounded reference
     titles = [
         str(normalize_title(v))
@@ -181,7 +254,7 @@ def test_kernel_throughput(run, emit_report):
         f"title pairs: per-pair {ref_s / kern_s:.2f}x, "
         f"batch {ref_s / batch_lev_s:.2f}x",
         "",
-        "deployed families (each asserted >= 1.0x on ws and qgm_3): "
+        "deployed families (each asserted >= 1.0x): "
         + ", ".join(batch.DEPLOYED_FAMILIES),
     ]
 
@@ -198,6 +271,10 @@ def test_kernel_throughput(run, emit_report):
             )
     assert data["levenshtein_bounded_speedup"] >= 1.0
     assert data["levenshtein_batch_speedup"] >= 1.0
+    for name, _, _ in CHARACTER_MEASURES:
+        for input_name in ("tokens", "dates"):
+            key = f"character_{name}_{input_name}_speedup"
+            assert data[key] >= 1.0, f"{key} = {data[key]:.2f}x"
     assert (
         family_speedups[("batch", "qgm_3")] >= family_speedups[("set", "qgm_3")]
     ), (

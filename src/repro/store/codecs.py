@@ -111,12 +111,15 @@ class FeatureMatrixCodec(ArtifactCodec):
     ) -> FeatureMatrix:
         pairs = [tuple(p) for p in payload["pairs"]]
         names = list(payload["feature_names"])
-        rows = [
-            [float(cell) for cell in line.split(",")]
-            for line in (sidecar or "").splitlines()
-            if line
-        ]
-        values = np.asarray(rows, dtype=float).reshape(len(pairs), len(names))
+        lines = [line for line in (sidecar or "").splitlines() if line]
+        # one C-level parse of every cell; it reads each ``repr`` back to
+        # the same double ``float`` does, and raises ValueError on a bad
+        # cell or ragged rows as the row-by-row parse did
+        values = (
+            np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
+            if lines
+            else np.empty((0, 0))
+        ).reshape(len(pairs), len(names))
         matrix = FeatureMatrix(pairs=pairs, feature_names=names, values=values)
         # artifacts written before fingerprints were carried have none
         matrix._fingerprint = payload.get("fingerprint")

@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import AttrEquivalenceBlocker, CandidateSet, OverlapBlocker
 from repro.core import EMWorkflow
@@ -90,6 +92,55 @@ class TestCodecs:
         # byte-exact, including NaN positions and the sign of -0.0
         assert np.array_equal(back.values, values, equal_nan=True)
         assert back.values.tobytes() == values.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda d: st.lists(
+                st.lists(st.floats(allow_subnormal=True), min_size=d, max_size=d),
+                max_size=8,
+            ).map(lambda rows: (d, rows))
+        )
+    )
+    def test_feature_matrix_decode_is_bit_exact(self, shaped):
+        width, rows = shaped
+        values = np.array(rows, dtype=float).reshape(len(rows), width)
+        matrix = FeatureMatrix(
+            pairs=[(i, i) for i in range(len(rows))],
+            feature_names=[f"f{j}" for j in range(width)],
+            values=values,
+        )
+        payload, sidecar = FEATURE_MATRIX.encode(matrix)
+        back = FEATURE_MATRIX.decode(payload, sidecar).values
+        expected = np.array(
+            [float(repr(float(v))) for v in values.flat], dtype=float
+        ).reshape(values.shape)
+        assert back.shape == values.shape
+        assert back.tobytes() == expected.tobytes()
+
+    def test_feature_matrix_decode_special_values(self):
+        values = np.array(
+            [[float("nan"), float("inf"), -float("inf")], [-0.0, 5e-324, 2.2250738585072014e-308]]
+        )
+        matrix = FeatureMatrix(pairs=[(1, 1), (2, 2)], feature_names=["a", "b", "c"], values=values)
+        back = FEATURE_MATRIX.decode(*FEATURE_MATRIX.encode(matrix)).values
+        assert back.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            "1.0,2.0\n3.0",  # ragged rows
+            "1.0,2.0\n3.0,oops",  # a cell that is not a float
+            "1.0,2.0\n3.0,",  # an empty cell
+            "1.0,2.0,3.0\n4.0,5.0,6.0",  # more features than names
+            "1.0,2.0",  # fewer rows than pairs
+            "1.0,2.0#3.0\n3.0,4.0",  # no comment syntax
+        ],
+    )
+    def test_malformed_feature_matrix_sidecar_raises(self, sidecar):
+        payload = {"pairs": [[1, 1], [2, 2]], "feature_names": ["a", "b"]}
+        with pytest.raises(ValueError):
+            FEATURE_MATRIX.decode(payload, sidecar)
 
     def test_empty_feature_matrix(self):
         matrix = FeatureMatrix(pairs=[], feature_names=["a"], values=np.empty((0, 1)))

@@ -6,8 +6,9 @@
 bench runs and fails the perf-smoke job when
 
 * any family listed in :data:`repro.similarity.batch.DEPLOYED_FAMILIES`
-  reports a mean speedup < 1.0x vs the string references on either
-  case-study tokenization (ws, qgm_3), or
+  reports a speedup < 1.0x vs the string references on either
+  case-study tokenization (ws, qgm_3) — for the character family, on
+  either input (AwardTitle words, date strings) — or
 * the batch family falls behind the per-pair id-frozenset family on
   qgm_3 — the tokenization where the retired merge family regressed to
   0.40-0.86x in the first place.
@@ -39,6 +40,11 @@ FAMILY_KEYS = {
     "set": [f"family_set_{tok}_speedup" for tok in TOKENIZATIONS],
     "batch": [f"family_batch_{tok}_speedup" for tok in TOKENIZATIONS],
     "levenshtein": ["levenshtein_bounded_speedup", "levenshtein_batch_speedup"],
+    "character": [
+        f"character_{measure}_{inputs}_speedup"
+        for measure in ("jaro", "jaro_winkler", "levenshtein_similarity")
+        for inputs in ("tokens", "dates")
+    ],
 }
 
 
