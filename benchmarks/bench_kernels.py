@@ -18,8 +18,16 @@ Two set-measure families are timed, each against the same reference:
   :class:`~repro.runtime.columnar.TokenColumn` build plus one kernel
   call per chunk (construction included in the timing). Deployed on the
   extraction and blocker hot loops; family mean asserted ``>= 1.0`` on
-  both tokenizations *and* ``>=`` the set family on qgm_3, where
+  both tokenizations *and* no slower than the set family on qgm_3, where
   per-pair call overhead weighs most.
+
+The two families' qgm_3 speedups sit within a few percent of each
+other, inside one host's run-to-run spread, so the batch-vs-set gate is
+not read off the family means. Instead both families score the same
+qgm_3 pairs in :data:`ROUNDS` interleaved rounds (the order alternating
+per round), and the gate asserts that the median of the per-round
+``set time / batch time`` ratios is ``>= 1.0``
+(``batch_vs_set_qgm_3_median_ratio``).
 
 Per-family speedups are reported under ``family_<fam>_<tok>_speedup``
 keys so a regressing family cannot hide behind a blended mean.
@@ -65,6 +73,8 @@ N_PAIRS = 60_000
 N_LEV_PAIRS = 1_500
 LEV_BOUND = 4
 N_CHAR_PAIRS = 20_000
+#: interleaved batch-vs-set rounds on qgm_3 (odd, so the median is a round)
+ROUNDS = 7
 
 #: (name, scalar reference, batch kernel) for the character family
 CHARACTER_MEASURES = [
@@ -142,6 +152,30 @@ def _timed_batch(kernel, a_entries, b_entries):
     return list(out), time.perf_counter() - started
 
 
+def _family_round(family, set_args, a_entries, b_entries):
+    """Seconds one family spends scoring every measure once."""
+    spent = 0.0
+    for _, _, set_kernel, batch_kernel in MEASURES:
+        if family == "set":
+            spent += _timed_loop(set_kernel, set_args)[1]
+        else:
+            spent += _timed_batch(batch_kernel, a_entries, b_entries)[1]
+    return spent
+
+
+def _batch_vs_set_ratios(set_args, a_entries, b_entries):
+    """Per-round ``set seconds / batch seconds``, families interleaved."""
+    ratios = []
+    for round_no in range(ROUNDS):
+        order = ("set", "batch") if round_no % 2 == 0 else ("batch", "set")
+        spent = {
+            family: _family_round(family, set_args, a_entries, b_entries)
+            for family in order
+        }
+        ratios.append(spent["set"] / spent["batch"])
+    return ratios
+
+
 def test_kernel_throughput(run, emit_report):
     tables = run.projected
     rng = random.Random(20260806)
@@ -199,6 +233,20 @@ def test_kernel_throughput(run, emit_report):
             )
         )
         lines.append("")
+        if tok_name == "qgm_3":
+            qgm_inputs = (set_args, a_entries, b_entries)
+
+    ratios = _batch_vs_set_ratios(*qgm_inputs)
+    median_ratio = sorted(ratios)[len(ratios) // 2]
+    data["batch_vs_set_qgm_3_ratios"] = ratios
+    data["batch_vs_set_qgm_3_median_ratio"] = median_ratio
+    lines += [
+        f"batch vs set on qgm_3, {ROUNDS} interleaved rounds "
+        "(set seconds / batch seconds per round):",
+        "  " + "  ".join(f"{r:.3f}" for r in ratios)
+        + f"   median {median_ratio:.3f}",
+        "",
+    ]
 
     # character family: one batch call per input set vs scalar calls
     lines.append(
@@ -275,11 +323,9 @@ def test_kernel_throughput(run, emit_report):
         for input_name in ("tokens", "dates"):
             key = f"character_{name}_{input_name}_speedup"
             assert data[key] >= 1.0, f"{key} = {data[key]:.2f}x"
-    assert (
-        family_speedups[("batch", "qgm_3")] >= family_speedups[("set", "qgm_3")]
-    ), (
-        f"batch family ({family_speedups[('batch', 'qgm_3')]:.2f}x) no faster "
-        f"than per-pair set kernels ({family_speedups[('set', 'qgm_3')]:.2f}x) "
-        "on qgm_3"
+    assert median_ratio >= 1.0, (
+        f"batch family slower than per-pair set kernels on qgm_3: median "
+        f"set/batch time ratio {median_ratio:.3f} over {ROUNDS} interleaved "
+        f"rounds {[round(r, 3) for r in ratios]}"
     )
     emit_report("kernels", "\n".join(lines), data=data)

@@ -6,8 +6,7 @@ deterministic scale corpus at two sizes and gates the properties
 large-scale blocking depends on:
 
 * **bit-identity** — the ``sharded_overlap`` kind emits exactly the
-  ``overlap`` blocker's pairs (values *and* order), serial and with
-  two workers;
+  ``overlap`` blocker's pairs (values *and* order);
 * **sub-linear candidate growth** — with caps on, a 10x bigger corpus
   grows candidates < 10x (uncapped token blocking is quadratic in the
   oversized blocks);
@@ -46,9 +45,9 @@ def timed_pairs(blocker, left, right, session):
     return list(out.pairs), time.perf_counter() - started
 
 
-def warm_arm(blocker, left, right, cache, workers=1):
+def warm_arm(blocker, left, right, cache):
     """``(pairs, median seconds)`` of warm runs in a session of its own."""
-    with EngineSession(workers=workers, token_cache=cache) as session:
+    with EngineSession(token_cache=cache) as session:
         runs = [
             timed_pairs(blocker, left, right, session) for _ in range(WARM_REPEATS)
         ]
@@ -72,14 +71,13 @@ def test_sec7_sharded(emit_report):
             cold_pairs, cold_s = timed_pairs(base, left, right, session)
         base_pairs, base_s = warm_arm(base, left, right, cache)
         sharded_pairs, sharded_s = warm_arm(sharded, left, right, cache)
-        parallel_pairs, parallel_s = warm_arm(sharded, left, right, cache, workers=2)
-        identical = cold_pairs == base_pairs == sharded_pairs == parallel_pairs
-        return identical, base_pairs, cold_s, base_s, sharded_s, parallel_s
+        identical = cold_pairs == base_pairs == sharded_pairs
+        return identical, base_pairs, cold_s, base_s, sharded_s
 
-    small_ok, small_pairs, small_cold, small_base, small_sharded, small_parallel = (
+    small_ok, small_pairs, small_cold, small_base, small_sharded = (
         run_scale(SMALL_ROWS)
     )
-    large_ok, large_pairs, large_cold, large_base, large_sharded, large_parallel = (
+    large_ok, large_pairs, large_cold, large_base, large_sharded = (
         run_scale(LARGE_ROWS)
     )
     identity_ok = small_ok and large_ok
@@ -94,24 +92,23 @@ def test_sec7_sharded(emit_report):
 
     peak_rss = sampler.snapshot().peak_rss_bytes or 0
 
-    def timing_line(rows, cold, base_s, sharded_s, parallel_s):
+    def timing_line(rows, cold, base_s, sharded_s):
         return (
             f"  @ {rows:,} rows: cold first run {cold:.2f}s; warm overlap "
-            f"{base_s:.2f}s, sharded_overlap serial {sharded_s:.2f}s, "
-            f"workers=2 {parallel_s:.2f}s\n"
+            f"{base_s:.2f}s, sharded_overlap {sharded_s:.2f}s\n"
         )
 
     text = (
         f"Section 7 at scale — capped overlap blocking ({SMALL_ROWS:,} -> "
         f"{LARGE_ROWS:,} rows, cap={CAP.max_block_size}, shards=8, "
         f"{os.cpu_count()} CPUs)\n"
-        f"  bit-identity (sharded_overlap ≡ overlap, serial and workers=2): "
+        f"  bit-identity (sharded_overlap ≡ overlap): "
         f"{'ok' if identity_ok else 'FAIL'}\n"
         f"  candidates: {len(small_pairs):,} @ {SMALL_ROWS:,} -> "
         f"{len(large_pairs):,} @ {LARGE_ROWS:,} "
         f"(growth {growth_ratio:.1f}x for {scale_factor:.0f}x rows)\n"
-        + timing_line(SMALL_ROWS, small_cold, small_base, small_sharded, small_parallel)
-        + timing_line(LARGE_ROWS, large_cold, large_base, large_sharded, large_parallel)
+        + timing_line(SMALL_ROWS, small_cold, small_base, small_sharded)
+        + timing_line(LARGE_ROWS, large_cold, large_base, large_sharded)
         + f"  (warm = median of {WARM_REPEATS} runs on a filled token cache)\n"
         f"  peak RSS: {peak_rss / 1e9:.2f} GB"
     )
@@ -126,7 +123,6 @@ def test_sec7_sharded(emit_report):
         "cold_seconds_large": large_cold,
         "overlap_seconds_large": large_base,
         "serial_seconds_large": large_sharded,
-        "parallel_seconds_large": large_parallel,
         "peak_rss_bytes": peak_rss,
     }
     emit_report("sec7_sharded", text, data=data)

@@ -12,7 +12,7 @@ Commands
 ``profile``     profile the raw tables (the Section-4 exploration report)
 ``trace``       inspect telemetry: ``trace summary`` (hotspots + flamegraph
                 from a JSONL trace), ``trace top`` (span self-time ranking,
-                per-worker utilization, ``--folded`` flamegraph stacks),
+                ``--folded`` flamegraph stacks),
                 ``trace diff`` (two run manifests)
 ``bench``       ``bench history`` — summarize the cross-run benchmark
                 trend log (``benchmarks/history.jsonl``)
@@ -21,7 +21,7 @@ Common options: ``--seed N`` (default 45), ``--small`` (a ~5x downsized
 scenario that runs in well under a minute), ``--out DIR`` (for release).
 ``casestudy`` additionally takes ``--trace PATH`` (write a JSONL trace),
 ``--manifest PATH`` (write a RunManifest JSON, implies provenance
-collection), ``--workers N``, ``--store DIR`` (content-addressed artifact
+collection), ``--store DIR`` (content-addressed artifact
 store; a re-run reuses every unchanged stage), ``--resources`` (sample per-stage
 CPU/RSS/GC deltas into the trace) and ``--plan CONFIG_JSON`` (a pipeline
 spec, inline JSON or ``@file`` — see :mod:`repro.plan`). ``serve`` takes
@@ -101,7 +101,6 @@ def _cmd_casestudy(args: argparse.Namespace) -> int:
 
         store = ArtifactStore(store_dir)
     session = EngineSession(
-        workers=getattr(args, "workers", 1),
         store=store,
         trace_path=trace_path,
         instrumentation=instrumentation,
@@ -161,11 +160,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = _config(args)
     metrics = MetricsRegistry()
-    session = EngineSession(
-        workers=getattr(args, "workers", 1),
-        metrics=metrics,
-        seed=config.seed,
-    )
+    session = EngineSession(metrics=metrics, seed=config.seed)
     with session, CaseStudyRun(config=config, session=session) as run:
         tables, extra = run.projected_v2, run.projected_extra
         feature_set = run.matching.feature_set
@@ -327,8 +322,6 @@ def main(argv: list[str] | None = None) -> int:
     casestudy.add_argument("--manifest", metavar="PATH",
                            help="write a RunManifest JSON to PATH "
                                 "(implies provenance collection)")
-    casestudy.add_argument("--workers", type=int, default=1,
-                           help="process-pool width for the hot stages")
     casestudy.add_argument("--store", metavar="DIR",
                            help="artifact-store directory; re-runs reuse "
                                 "every unchanged stage")
@@ -353,8 +346,6 @@ def main(argv: list[str] | None = None) -> int:
                             "delta path and verify against the batch rerun")
     serve.add_argument("--probes", type=int, default=5,
                        help="late records to probe through match()")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="process-pool width for the hot stages")
     serve.add_argument("--json", metavar="PATH",
                        help="write a counts + latency report JSON to PATH")
     serve.add_argument("--metrics-port", type=int, default=None,
@@ -379,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     summary.add_argument("--top", type=int, default=15,
                          help="rows in the hotspot table")
     top = trace_sub.add_parser(
-        "top", help="span self-time ranking + per-worker utilization"
+        "top", help="span self-time ranking"
     )
     top.add_argument("trace", help="path to a JSONL trace file")
     top.add_argument("--top", type=int, default=15,

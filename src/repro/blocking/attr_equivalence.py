@@ -87,9 +87,7 @@ class AttrEquivalenceBlocker(Blocker):
         r_key: str,
         name: str,
     ) -> CandidateSet:
-        # The equi-join is a single hash pass — the session's pool is
-        # available for interface uniformity but there is nothing worth
-        # parallelising.
+        # The equi-join is a single hash pass.
         instrumentation = session.instrumentation
         self._validate_inputs(
             ltable, rtable, l_key, r_key, [(ltable, self.l_attr), (rtable, self.r_attr)]

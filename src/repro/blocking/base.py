@@ -26,10 +26,8 @@ class Blocker:
     it resolves the session (the explicit ``session=``, else the ambient
     ``with EngineSession(...)`` scope, else a default serial session) and
     executes through ``session.run_stage`` — one implementation of the
-    store memoization (see :class:`repro.store.stages.BlockStage`), chunk
-    dispatch and tracing glue. The session's workers and pool drive
-    chunk-parallel evaluation; blockers without a parallel path ignore
-    them, and parallel results are identical to serial.
+    store memoization (see :class:`repro.store.stages.BlockStage`) and
+    tracing glue. Blocking runs in the calling process.
     """
 
     #: Subclasses set this for nicer candidate-set names.

@@ -13,9 +13,8 @@ employees/vendor tables at ``aux_scale=1.0`` would too.)
 
 Tokenization reuses the session's token cache (the same
 ``(attr, whitespace, normalize_title)`` recipe the title blockers use, so
-a prior blocking pass makes down-sampling's A-side scan free), and the
-shared-token counting over A chunks across the session's pool when it has
-``workers >= 2``. Down-sampling implements the stage-operator protocol
+a prior blocking pass makes down-sampling's A-side scan free).
+Down-sampling implements the stage-operator protocol
 with ``cache_kind = None``: its ``rng`` input has no stable fingerprint,
 so it is uncacheable by design and never touches the artifact store.
 """
@@ -28,7 +27,6 @@ import numpy as np
 
 from ..errors import BlockingError
 from ..runtime.context import EngineSession, StageOperator, resolve_session
-from ..runtime.executor import chunk_ranges
 from ..runtime.instrument import count, stage
 from ..table import Table
 from ..text.normalize import normalize_title
@@ -51,13 +49,6 @@ def _table_row_tokens(
                 tokens.update(column[i])
         rows.append(tokens)
     return rows
-
-
-def _shared_count_chunk(
-    row_tokens: list[set[str]], b_tokens: set[str]
-) -> list[int]:
-    """Shared-token counts for a chunk of A rows (runs in workers)."""
-    return [len(tokens & b_tokens) for tokens in row_tokens]
 
 
 class DownSampleStage(StageOperator):
@@ -113,13 +104,9 @@ class DownSampleStage(StageOperator):
             a_row_tokens = _table_row_tokens(table_a, attrs, cache)
 
         with stage(instrumentation, "score"):
-            ranges = chunk_ranges(len(a_row_tokens), session.workers)
-            chunks = session.map_chunks(
-                _shared_count_chunk,
-                [(a_row_tokens[start:stop], b_tokens) for start, stop in ranges],
-                sizes=[stop - start for start, stop in ranges],
+            shared_counts = np.array(
+                [len(tokens & b_tokens) for tokens in a_row_tokens], dtype=int
             )
-            shared_counts = np.array([c for chunk in chunks for c in chunk], dtype=int)
             count(instrumentation, "a_rows_scored", len(a_row_tokens))
         order = np.argsort(-shared_counts, kind="stable")
         keep = [int(i) for i in order[:a_size]]

@@ -27,9 +27,9 @@ Two hooks are all that differ between the blockers:
 
 The delta handle (:mod:`repro.blocking.incremental`) runs the same
 :func:`probe_records` over the same hooks, so both emit the same pairs
-in the same order. The probe runs in the calling process whatever the
-session's ``workers``: shipping the index to worker chunks cost more in
-pickling than the chunks saved (measurements in ``docs/blocking.md``).
+in the same order. The probe runs in the calling process, like every
+stage: shipping the index to worker chunks cost more in pickling than
+the chunks saved (measurements in ``docs/blocking.md``).
 
 Emission order: pairs come per left record, in left-table order, and
 within a record in the iteration order of its ``seen`` set. That order

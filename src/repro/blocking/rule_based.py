@@ -5,11 +5,6 @@ the new award-number/project-number positive rule had to be added to the
 blocking pipeline). An optional *index_attrs* pair turns the evaluation
 from a full cross product into an equi-join pre-grouping when the rule is
 known to require equality on those attributes.
-
-``workers >= 2`` chunks the left rows over a process pool. Predicates are
-often closures/lambdas, which cannot be pickled — the executor detects
-that and silently recomputes serially, so results never depend on whether
-the pool engaged.
 """
 
 from __future__ import annotations
@@ -17,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from ..runtime.context import EngineSession
-from ..runtime.executor import ChunkedExecutor, chunk_ranges
 from ..runtime.instrument import count, stage
 from ..table import Table
 from ..table.column import is_missing
@@ -25,40 +19,6 @@ from .base import Blocker
 from .candidate_set import CandidateSet
 
 PairPredicate = Callable[[dict[str, Any], dict[str, Any]], bool]
-
-
-def _rule_cross_chunk(
-    l_rows: list[dict[str, Any]],
-    r_rows: list[dict[str, Any]],
-    predicate: PairPredicate,
-    l_key: str,
-    r_key: str,
-) -> list[tuple[Any, Any]]:
-    """Evaluate the predicate over (chunk of left rows) x (all right rows)."""
-    pairs: list[tuple[Any, Any]] = []
-    for lrow in l_rows:
-        for rrow in r_rows:
-            if predicate(lrow, rrow):
-                pairs.append((lrow[l_key], rrow[r_key]))
-    return pairs
-
-
-def _rule_indexed_chunk(
-    l_entries: list[tuple[Any, dict[str, Any], Any]],
-    r_groups: dict[Any, list[tuple[Any, dict[str, Any]]]],
-    predicate: PairPredicate,
-) -> list[tuple[Any, Any]]:
-    """Evaluate the predicate for left entries against their equi-join group.
-
-    *l_entries* holds ``(left id, left row, join value)`` triples whose join
-    value is known to exist in *r_groups*.
-    """
-    pairs: list[tuple[Any, Any]] = []
-    for lid, lrow, value in l_entries:
-        for rid, rrow in r_groups[value]:
-            if predicate(lrow, rrow):
-                pairs.append((lid, rid))
-    return pairs
 
 
 class RuleBasedBlocker(Blocker):
@@ -98,19 +58,18 @@ class RuleBasedBlocker(Blocker):
             attrs = [(ltable, self.index_attrs[0]), (rtable, self.index_attrs[1])]
         self._validate_inputs(ltable, rtable, l_key, r_key, attrs)
         instrumentation = session.instrumentation
-        executor = session.executor()
         with stage(instrumentation, "evaluate"):
             if self.index_attrs is not None:
-                pairs = self._block_indexed(ltable, rtable, l_key, r_key, executor)
+                pairs = self._block_indexed(ltable, rtable, l_key, r_key)
             else:
-                pairs = self._block_cross(ltable, rtable, l_key, r_key, executor)
+                pairs = self._block_cross(ltable, rtable, l_key, r_key)
             count(instrumentation, "pairs_out", len(pairs))
         return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)
 
     def _block_indexed(
-        self, ltable: Table, rtable: Table, l_key: str, r_key: str,
-        executor: ChunkedExecutor,
+        self, ltable: Table, rtable: Table, l_key: str, r_key: str
     ) -> list[tuple[Any, Any]]:
+        """Evaluate the predicate only within equi-join groups."""
         l_attr, r_attr = self.index_attrs
         r_ids = rtable[r_key]
         r_groups: dict[Any, list[tuple[Any, dict[str, Any]]]] = {}
@@ -118,35 +77,26 @@ class RuleBasedBlocker(Blocker):
             if not is_missing(v):
                 r_groups.setdefault(v, []).append((r_ids[j], rtable.row(j)))
         l_ids = ltable[l_key]
-        l_entries = [
-            (l_ids[i], ltable.row(i), v)
-            for i, v in enumerate(ltable[l_attr])
-            if not is_missing(v) and v in r_groups
-        ]
-        ranges = chunk_ranges(len(l_entries), executor.workers)
-        chunks = executor.map(
-            _rule_indexed_chunk,
-            [
-                (l_entries[start:stop], r_groups, self.predicate)
-                for start, stop in ranges
-            ],
-            sizes=[stop - start for start, stop in ranges],
-        )
-        return [pair for chunk in chunks for pair in chunk]
+        predicate = self.predicate
+        pairs: list[tuple[Any, Any]] = []
+        for i, v in enumerate(ltable[l_attr]):
+            if is_missing(v) or v not in r_groups:
+                continue
+            lid, lrow = l_ids[i], ltable.row(i)
+            for rid, rrow in r_groups[v]:
+                if predicate(lrow, rrow):
+                    pairs.append((lid, rid))
+        return pairs
 
     def _block_cross(
-        self, ltable: Table, rtable: Table, l_key: str, r_key: str,
-        executor: ChunkedExecutor,
+        self, ltable: Table, rtable: Table, l_key: str, r_key: str
     ) -> list[tuple[Any, Any]]:
-        l_rows = ltable.to_rows()
+        """Evaluate the predicate over the full cross product."""
         r_rows = rtable.to_rows()
-        ranges = chunk_ranges(len(l_rows), executor.workers)
-        chunks = executor.map(
-            _rule_cross_chunk,
-            [
-                (l_rows[start:stop], r_rows, self.predicate, l_key, r_key)
-                for start, stop in ranges
-            ],
-            sizes=[stop - start for start, stop in ranges],
-        )
-        return [pair for chunk in chunks for pair in chunk]
+        predicate = self.predicate
+        pairs: list[tuple[Any, Any]] = []
+        for lrow in ltable.to_rows():
+            for rrow in r_rows:
+                if predicate(lrow, rrow):
+                    pairs.append((lrow[l_key], rrow[r_key]))
+        return pairs

@@ -5,8 +5,8 @@ overlap-family parent: the same in-process probe, the same pairs in the
 same order. ``shards`` no longer changes how they run. It travels in the
 serialised payload, so stored plans, registry configs and store keys
 that name these kinds keep working. No shard layout measured faster than
-the in-process probe at 20k or 100k rows, serial or with two workers
-(``docs/blocking.md``).
+the in-process probe at 20k or 100k rows (``docs/blocking.md``), and
+every stage now runs in the calling process.
 """
 
 from __future__ import annotations

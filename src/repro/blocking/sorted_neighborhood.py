@@ -13,7 +13,6 @@ from typing import Any, Callable
 
 from ..errors import BlockingError
 from ..runtime.context import EngineSession
-from ..runtime.executor import chunk_ranges
 from ..runtime.instrument import count
 from ..table import Table
 from ..table.column import is_missing
@@ -23,20 +22,16 @@ from .candidate_set import CandidateSet
 KeyFunction = Callable[[Any], Any]
 
 
-def _window_chunk(
-    entries: list[tuple[str, str, Any]], length: int, w: int
+def _window_pairs(
+    entries: list[tuple[str, str, Any]], w: int
 ) -> list[tuple[Any, Any]]:
-    """Window pairing for one chunk of the merged sort order.
+    """Left-with-right pairs within *w* - 1 positions in the merged order.
 
-    *entries* holds the chunk's ``length`` owned positions plus up to
-    ``w - 1`` look-ahead entries from the next chunk, so every window
-    anchored inside the chunk is complete. Module-level and closure-free
-    so the chunked executor can ship it to workers; concatenating chunk
-    outputs in order reproduces the serial loop exactly (each pair is
-    anchored at — and emitted by — its window's first position only).
+    Each pair is emitted once, by its window's first position, with the
+    left id first.
     """
     pairs: list[tuple[Any, Any]] = []
-    for i in range(length):
+    for i in range(len(entries)):
         _, side_i, rid_i = entries[i]
         for j in range(i + 1, min(i + w, len(entries))):
             _, side_j, rid_j = entries[j]
@@ -111,19 +106,6 @@ class SortedNeighborhoodBlocker(Blocker):
             rtable, self.r_attr, r_key, "R"
         )
         merged.sort(key=lambda e: (e[0], e[1], str(e[2])))
-        # The window loop is chunk-parallel over the merged order: each
-        # chunk ships its owned slice plus w-1 look-ahead entries, and
-        # in-order concatenation equals the serial loop bit for bit.
-        w = self.window
-        ranges = chunk_ranges(len(merged), session.workers)
-        chunks = session.map_chunks(
-            _window_chunk,
-            [
-                (merged[start : stop + w - 1], stop - start, w)
-                for start, stop in ranges
-            ],
-            sizes=[stop - start for start, stop in ranges],
-        )
-        pairs = [pair for chunk in chunks for pair in chunk]
+        pairs = _window_pairs(merged, self.window)
         count(instrumentation, "pairs_out", len(pairs))
         return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)

@@ -16,7 +16,6 @@ from ..datasets.iris import iris_matcher
 from ..datasets.scenario import Scenario, ScenarioConfig, generate_scenario
 from ..labeling.oracle import ExpertOracle
 from ..runtime.context import EngineSession
-from ..runtime.executor import WorkerPool
 from ..runtime.instrument import stage
 from .accuracy import AccuracyOutcome, run_accuracy_estimation
 from .blocking_plan import BlockingOutcome, run_blocking, threshold_sweep
@@ -80,8 +79,7 @@ class CaseStudyRun:
     unchanged); its instrumentation collects one stage subtree per
     section — each stage property materializes its dependencies *before*
     opening its own stage, so the tree shape does not depend on which
-    property is accessed first; its workers fan the hot paths over one
-    shared process pool; and its provenance policy records per-pair match
+    property is accessed first; and its provenance policy records per-pair match
     lineage on the updated/final workflows (see
     :meth:`~repro.casestudy.CombinedWorkflowOutcome.explain_pair`). A
     finished run serializes to a machine-readable record via
@@ -110,11 +108,6 @@ class CaseStudyRun:
         if self._owned_session is None:
             self._owned_session = EngineSession(seed=self.config.seed)
         return self._owned_session
-
-    @property
-    def worker_pool(self) -> WorkerPool | None:
-        """The pool shared by every stage (``None`` for serial runs)."""
-        return self.engine_session.worker_pool
 
     def _stage(self, name: str):
         return stage(self.engine_session.instrumentation, name)
@@ -155,7 +148,7 @@ class CaseStudyRun:
         return record
 
     def close(self) -> None:
-        """Release the run-owned session and its worker pool (idempotent;
+        """Release the run-owned session (idempotent;
         an injected ``session`` is the caller's to close)."""
         owned, self._owned_session = self._owned_session, None
         if owned is not None:

@@ -79,13 +79,10 @@ def run_blocking(
 ) -> BlockingOutcome:
     """Execute the blocking plan and the debugger check.
 
-    Runs under *session* (or the ambient session when ``None``): a
-    session with ``workers >= 2`` parallelises the two title blockers
-    (the AE blocker is a hash join, not worth chunking); its
-    instrumentation records per-blocker stage timings and pair counts;
-    its store memoizes each blocker's candidate set by content
-    fingerprints; its pool lets both title blockers (and any later
-    stage) reuse one set of worker processes.
+    Runs under *session* (or the ambient session when ``None``): its
+    instrumentation records per-blocker stage timings and pair counts,
+    and its store memoizes each blocker's candidate set by content
+    fingerprints.
 
     *blockers* substitutes a custom three-blocker plan (e.g. built by
     :func:`repro.blocking.create_blockers`, or the block nodes of a

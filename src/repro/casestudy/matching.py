@@ -109,8 +109,8 @@ def run_matching(
 
     A session store memoizes the three feature extractions (training
     matrix, case-insensitive training matrix, prediction matrix) by
-    content; the session's workers/instrumentation parallelize and time
-    those extractions plus the two cross-validated selections.
+    content; the session's instrumentation times those extractions plus
+    the two cross-validated selections.
     """
     resolved = resolve_session(session)
     instrumentation = resolved.instrumentation

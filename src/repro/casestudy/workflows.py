@@ -211,10 +211,8 @@ def run_combined_workflow(
     same output names (``matches``, ``original_*``/``extra_*``) and group
     its slice nodes under ``original_slice``/``extra_slice``.
 
-    A resolved session with ``workers >= 2`` fans the blocking probes and
-    feature extraction of both table slices over its process pool; its
-    instrumentation collects a stage tree (one subtree per slice)
-    renderable via
+    The resolved session's instrumentation collects a stage tree (one
+    subtree per slice) renderable via
     :meth:`~repro.runtime.instrument.Instrumentation.report`; its store
     makes the run incremental: re-running with added negative rules (the
     Figure-10 patch) reuses every blocking, extraction and prediction

@@ -39,10 +39,10 @@ class Feature:
     """A named feature over (left attribute, right attribute).
 
     ``spec`` is the feature's structured recipe — enough to rebuild the
-    (closure-based, hence unpicklable) ``function`` in another process via
+    (closure-based, hence unpicklable) ``function`` via
     :func:`feature_from_spec`, and to derive variants (e.g. case-insensitive
     twins) without parsing the name. Features wrapping arbitrary callables
-    have ``spec=None`` and are evaluated in-process only.
+    have ``spec=None``.
     """
 
     name: str
@@ -170,8 +170,8 @@ def numeric_feature(l_attr: str, r_attr: str, measure: str) -> Feature:
 def feature_from_spec(spec: tuple) -> Feature:
     """Rebuild a feature from its :attr:`Feature.spec` recipe.
 
-    This is how worker processes reconstruct feature functions (which are
-    closures and cannot be pickled) from plain data.
+    Feature functions are closures and cannot be pickled; the recipe is
+    plain data from which the same function is rebuilt.
     """
     from ..text.tokenizers import TOKENIZERS
 

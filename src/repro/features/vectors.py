@@ -10,10 +10,10 @@ Extraction is the Section-9 hot path (n pairs x d features). It runs
 *columnar over interned ids*:
 
 * token set measures (``jac``/``cos``/``dice``/``overlap_coeff``) are
-  gathered into :class:`~repro.runtime.columnar.TokenColumn` chunk
-  columns from the shared :class:`~repro.runtime.cache.TokenCache` (each
+  gathered into :class:`~repro.runtime.columnar.TokenColumn` columns
+  from the shared :class:`~repro.runtime.cache.TokenCache` (each
   cell tokenized and interned once per recipe, not once per pair per
-  feature) and scored one *chunk* per call by the batch kernels in
+  feature) and scored one whole column per call by the batch kernels in
   :mod:`repro.similarity.batch` — no per-pair Python call survives on
   the hot path;
 * a Monge-Elkan (``mel``) column reads token *bags* in tokenizer order
@@ -43,14 +43,8 @@ parity tests assert against the loop kept in ``tests/blocking_reference.py``.
 
 ``extract_feature_vectors`` resolves an
 :class:`~repro.runtime.context.EngineSession` (explicit or ambient) and
-spreads contiguous
-pair-index chunks over the session's process pool; chunks ship compact
-id arrays, and workers rebuild value-feature functions from their
-:attr:`~repro.features.feature.Feature.spec` recipes (the closures
-themselves do not pickle). Features without a spec (custom black-box
-features) force the serial path, which is also the fallback whenever the
-pool cannot run. Parallel results are identical to serial ones: same
-chunk code, concatenated in pair order.
+evaluates every column in the calling process, over the session's
+token cache and Jaro-Winkler table.
 """
 
 from __future__ import annotations
@@ -64,14 +58,13 @@ from ..blocking.candidate_set import CandidateSet, Pair
 from ..errors import FeatureError
 from ..ml.impute import MeanImputer
 from ..runtime.cache import TokenCache, lowercase, pack_pairs
-from ..runtime.columnar import TokenColumn, gather_column
+from ..runtime.columnar import gather_column
 from ..runtime.context import EngineSession, resolve_session
-from ..runtime.executor import WorkerPool, chunk_ranges
 from ..runtime.instrument import count, stage
 from ..similarity import batch
 from ..similarity.sequence import jaro_winkler
 from ..table.column import is_missing
-from .feature import NAN, STRING_MEASURES, Feature, feature_from_spec
+from .feature import NAN, STRING_MEASURES, Feature
 from .generate import FeatureSet
 
 
@@ -339,9 +332,9 @@ def _kernel_columns(
       ``lev_sim``/``jaro``/``jw`` string features, scored by the
       character batch kernels;
     * ``("value", spec, value, value)`` — raw cell values for the other
-      string, numeric and custom features (``spec`` rebuilds the function
-      in workers; it is ``None`` for custom features, which never leave
-      the serial path).
+      string, numeric and custom features (``spec`` is ``None`` for
+      custom features, whose purity is unknown, so they are never
+      memoized).
     """
     from ..text.tokenizers import TOKENIZERS
 
@@ -384,21 +377,17 @@ def _kernel_columns(
     return columns
 
 
-def _extract_kernel_chunk(
+def _extract_kernel(
     n: int,
     columns: list[tuple],
-    functions: list[Any] | None = None,
-    cache: TokenCache | None = None,
+    functions: list[Any],
+    cache: TokenCache,
 ) -> np.ndarray:
-    """Evaluate kernel columns for *n* pairs (the serial path runs it
-    inline over all pairs; workers run it per chunk with *functions*
-    unset and rebuild value-feature functions from their specs). Only
-    the parent, which passes the session's *cache*, evaluates mel
-    columns."""
+    """Evaluate the kernel *columns* for *n* pairs, one column at a time."""
     values = np.empty((n, len(columns)))
     for j, (kind, meta, a_list, b_list) in enumerate(columns):
         if kind == "set":
-            # one batch-kernel call scores the whole chunk column; missing
+            # one batch-kernel call scores the whole column; missing
             # cells surface as NaN straight from the kernel
             values[:, j] = np.frombuffer(batch.score_batch(meta, a_list, b_list))
         elif kind == "mel":
@@ -406,7 +395,7 @@ def _extract_kernel_chunk(
         elif kind == "chars":
             values[:, j] = _character_column(meta, a_list, b_list)
         else:
-            fn = functions[j] if functions is not None else feature_from_spec(meta).function
+            fn = functions[j]
             if meta is None:
                 # custom feature: purity unknown, never memoize
                 for i in range(n):
@@ -425,13 +414,6 @@ def _extract_kernel_chunk(
     return values
 
 
-def _slice_column(column: tuple, start: int, stop: int) -> tuple:
-    kind, meta, a_list, b_list = column
-    if isinstance(a_list, TokenColumn):
-        return (kind, meta, a_list.slice(start, stop), b_list.slice(start, stop))
-    return (kind, meta, a_list[start:stop], b_list[start:stop])
-
-
 def extract_feature_vectors(
     candidates: CandidateSet,
     feature_set: FeatureSet,
@@ -443,11 +425,8 @@ def extract_feature_vectors(
 
     Runs as an :class:`~repro.store.stages.ExtractStage` through the
     resolved :class:`~repro.runtime.context.EngineSession`: a session with
-    ``workers >= 2`` (or a shared pool) splits the pair list into
-    contiguous index chunks and evaluates them in a process pool — the
-    result is identical to the serial computation — and a session with a
-    store memoizes the extraction by the content fingerprints of the base
-    tables, the pair list and the feature-set recipes.
+    a store memoizes the extraction by the content fingerprints of the
+    base tables, the pair list and the feature-set recipes.
     """
     # Lazy import: the store's codecs build FeatureMatrix objects from
     # this module.
@@ -465,19 +444,12 @@ def _extract_impl(
     session: EngineSession,
 ) -> FeatureMatrix:
     """The extraction body (no store glue — the session already applied it)."""
-    workers = session.workers
     instrumentation = session.instrumentation
-    pool = session.worker_pool
     if pairs is None:
         pairs = candidates.pairs
     pairs = [tuple(p) for p in pairs]
     n, d = len(pairs), len(feature_set)
     features = list(feature_set)
-    parallel_ok = (
-        (workers > 1 or (pool is not None and pool.active))
-        and n > 1
-        and all(f.spec is not None for f in features)
-    )
     cache = session.token_cache
     table = cache.jw_scores
     with stage(instrumentation, "extract_features"):
@@ -486,10 +458,7 @@ def _extract_impl(
         columns = _kernel_columns(candidates, pairs, features, cache)
         functions = [f.function for f in features]
         before = (table.hits, table.misses, table.evictions)
-        if parallel_ok:
-            values = _extract_kernel_parallel(columns, n, d, session, functions)
-        else:
-            values = _extract_kernel_chunk(n, columns, functions, cache)
+        values = _extract_kernel(n, columns, functions, cache)
         if any(column[0] == "mel" for column in columns):
             # report-only: how much of the session's Jaro-Winkler table
             # this extraction reused
@@ -497,68 +466,3 @@ def _extract_impl(
             count(instrumentation, "jw_misses", table.misses - before[1])
             count(instrumentation, "jw_evictions", table.evictions - before[2])
     return FeatureMatrix(pairs=pairs, feature_names=feature_set.names, values=values)
-
-
-def _extract_kernel_parallel(
-    columns: list[tuple],
-    n: int,
-    d: int,
-    session: EngineSession,
-    functions: list[Any],
-) -> np.ndarray:
-    """Parallel kernel extraction with the mel columns kept in the parent.
-
-    Monge-Elkan resists row chunking: its cost is dominated by the
-    *distinct* token-pair Jaro-Winkler evaluations, and nearly every
-    distinct pair occurs in every row chunk — so each worker would redo
-    close to the whole memoized workload. Instead the set/value columns
-    (cleanly row-parallel) are submitted to the pool asynchronously and
-    the parent computes the mel columns with the session's Jaro-Winkler
-    table *while the workers run*, then scatters both into the result;
-    workers never see the table, so nothing needs merging back. Any pool failure
-    recomputes the submitted columns inline — identical either way.
-    """
-    workers = session.workers
-    instrumentation = session.instrumentation
-    pool = session.worker_pool
-    effective = workers if workers > 1 else (pool.workers if pool else 1)
-    mel_idx = [j for j, c in enumerate(columns) if c[0] == "mel"]
-    rest_idx = [j for j, c in enumerate(columns) if c[0] != "mel"]
-    rest_cols = [columns[j] for j in rest_idx]
-    ranges = chunk_ranges(n, effective)
-    submitted = None
-    owner: WorkerPool | None = None
-    target = pool
-    if rest_cols and len(ranges) > 1:
-        if target is None:
-            target = owner = WorkerPool(min(effective, len(ranges)))
-        payloads = [
-            (stop - start, [_slice_column(c, start, stop) for c in rest_cols])
-            for start, stop in ranges
-        ]
-        submitted = target.submit_chunks(_extract_kernel_chunk, payloads)
-    values = np.empty((n, d))
-    if mel_idx:
-        values[:, mel_idx] = _extract_kernel_chunk(
-            n, [columns[j] for j in mel_idx], cache=session.token_cache
-        )
-    outcomes = None
-    if submitted is not None:
-        futures, shipped = submitted
-        outcomes = target.gather(futures)
-        if outcomes is not None:
-            count(instrumentation, "pickled_bytes", shipped)
-            count(instrumentation, "pickled_chunks", len(futures))
-            for (start, stop), (block, seconds, pid, extras) in zip(ranges, outcomes):
-                if instrumentation is not None:
-                    instrumentation.record_chunk(pid, stop - start, seconds, **extras)
-                values[start:stop, rest_idx] = block
-    if owner is not None:
-        owner.shutdown()
-    if rest_cols and outcomes is None:
-        count(instrumentation, "parallel_fallbacks")
-        values[:, rest_idx] = _extract_kernel_chunk(
-            n, rest_cols, [functions[j] for j in rest_idx]
-        )
-    return values
-

@@ -11,11 +11,8 @@ Sub-commands:
     flattened stage paths are folded back into a tree;
 ``trace top TRACE``
     rank individual span *paths* by self-time (where ``summary``
-    aggregates by name), then print the per-worker utilization table
-    built from executor chunk records — busy wall seconds, worker-side
-    CPU seconds, peak RSS and token-cache hit rates per worker process.
-    ``--folded`` emits folded stacks (``a;b;c <self-time-µs>``) for
-    standard flamegraph tools instead;
+    aggregates by name). ``--folded`` emits folded stacks
+    (``a;b;c <self-time-µs>``) for standard flamegraph tools instead;
 ``trace diff OLD NEW``
     load two run manifests and print stage-by-stage count and timing
     deltas; with ``--strict-counts`` exit non-zero when any headline
@@ -154,13 +151,12 @@ def _load_stage_tree(path: str) -> StageStats:
 
 
 def span_self_times(root: StageStats) -> list[dict]:
-    """Every span path with its self-time, chunk and resource detail.
+    """Every span path with its self-time and resource detail.
 
     Unlike :func:`hotspots` (which pools same-named stages wherever they
     occur), each entry here is one *path* through the tree — so two
     ``tokenize`` stages under different parents rank separately. Entries
-    carry the span's pooled chunk totals (worker CPU seconds, peak RSS,
-    cache hits/misses) and its ``resources`` record when present.
+    carry the span's ``resources`` record when present.
     """
     entries = []
     for path, stats in iter_spans(root):
@@ -171,13 +167,6 @@ def span_self_times(root: StageStats) -> list[dict]:
             "path": "/".join(path[1:]),
             "self": stats.seconds - child_seconds,
             "total": stats.seconds,
-            "chunks": len(stats.chunks),
-            "chunk_cpu": sum(c.cpu_seconds for c in stats.chunks),
-            "chunk_peak_rss": max(
-                (c.peak_rss_bytes for c in stats.chunks), default=0
-            ),
-            "cache_hits": sum(c.cache_hits for c in stats.chunks),
-            "cache_misses": sum(c.cache_misses for c in stats.chunks),
             "resources": stats.resources,
         }
         entries.append(entry)
@@ -185,74 +174,22 @@ def span_self_times(root: StageStats) -> list[dict]:
     return entries
 
 
-def worker_utilization(root: StageStats) -> list[dict]:
-    """Per-worker totals pooled from every chunk record in the tree.
-
-    One row per worker pid: chunks run, items processed, busy wall
-    seconds, worker-side CPU seconds, the worker's peak RSS (max across
-    its chunks — ``ru_maxrss`` is a lifetime high-water mark) and its
-    token-cache hit/miss totals. Sorted by busy time, busiest first.
-    """
-    by_worker: dict[int, dict] = {}
-    for _, stats in iter_spans(root):
-        for chunk in stats.chunks:
-            row = by_worker.setdefault(
-                chunk.worker,
-                {"worker": chunk.worker, "chunks": 0, "items": 0,
-                 "busy": 0.0, "cpu": 0.0, "peak_rss": 0,
-                 "cache_hits": 0, "cache_misses": 0},
-            )
-            row["chunks"] += 1
-            row["items"] += chunk.items
-            row["busy"] += chunk.seconds
-            row["cpu"] += chunk.cpu_seconds
-            row["peak_rss"] = max(row["peak_rss"], chunk.peak_rss_bytes)
-            row["cache_hits"] += chunk.cache_hits
-            row["cache_misses"] += chunk.cache_misses
-    return sorted(by_worker.values(), key=lambda r: (-r["busy"], r["worker"]))
-
-
-def _mb(size_bytes: float) -> str:
-    return f"{size_bytes / (1024 * 1024):.1f}M" if size_bytes else "-"
-
-
 def render_top(root: StageStats, top: int = 15) -> str:
-    """The ``trace top`` report: span ranking + worker utilization."""
+    """The ``trace top`` report: span paths ranked by self-time."""
     entries = span_self_times(root)
     total = sum(c.seconds for c in root.children) or 1.0
     lines = [
         f"top spans for {root.name!r} by self-time "
         f"({sum(c.seconds for c in root.children):.3f}s total)",
-        f"{'span':<44} {'self':>9} {'total':>9} {'self%':>6} "
-        f"{'wk-cpu':>8} {'wk-rss':>8}",
+        f"{'span':<44} {'self':>9} {'total':>9} {'self%':>6}",
     ]
     for entry in entries[:top]:
-        cpu = f"{entry['chunk_cpu']:.3f}s" if entry["chunks"] else "-"
         lines.append(
             f"{entry['path']:<44} {entry['self']:>8.3f}s "
-            f"{entry['total']:>8.3f}s {100 * entry['self'] / total:>5.1f}% "
-            f"{cpu:>8} {_mb(entry['chunk_peak_rss']):>8}"
+            f"{entry['total']:>8.3f}s {100 * entry['self'] / total:>5.1f}%"
         )
     if len(entries) > top:
         lines.append(f"... {len(entries) - top} more span(s)")
-    workers = worker_utilization(root)
-    lines.append("")
-    if not workers:
-        lines.append("no executor chunks recorded (nothing ran through a pool)")
-        return "\n".join(lines)
-    lines.append(
-        f"{'worker':<8} {'chunks':>6} {'items':>8} {'busy':>9} {'cpu':>9} "
-        f"{'util%':>6} {'peak rss':>9} {'cache hit%':>10}"
-    )
-    for row in workers:
-        util = 100 * row["cpu"] / row["busy"] if row["busy"] else 0.0
-        lookups = row["cache_hits"] + row["cache_misses"]
-        hit_rate = f"{100 * row['cache_hits'] / lookups:.1f}%" if lookups else "-"
-        lines.append(
-            f"{row['worker']:<8} {row['chunks']:>6} {row['items']:>8} "
-            f"{row['busy']:>8.3f}s {row['cpu']:>8.3f}s {util:>5.1f}% "
-            f"{_mb(row['peak_rss']):>9} {hit_rate:>10}"
-        )
     return "\n".join(lines)
 
 

@@ -1,11 +1,10 @@
 """Counters, gauges and fixed-bucket histograms for pipeline telemetry.
 
 A :class:`MetricsRegistry` is the aggregation point the trace/manifest
-layer snapshots: stage latencies and executor chunk durations land in
-latency histograms, the standard pair counters
-(``pairs_out``/``candidates``/...) land in a candidate-set-size histogram,
-and the tokenization cache and artifact store contribute their hit/miss
-accounting as gauges. Everything is plain data — :meth:`MetricsRegistry.snapshot`
+layer snapshots: stage latencies land in latency histograms, the
+standard pair counters (``pairs_out``/``candidates``/...) land in a
+candidate-set-size histogram, and the tokenization cache and artifact
+store contribute their hit/miss accounting as gauges. Everything is plain data — :meth:`MetricsRegistry.snapshot`
 returns JSON-ready dicts for the run manifest.
 
 Feeding happens one of two ways (not both, or stages count twice):
@@ -25,10 +24,15 @@ from typing import Any, Sequence
 from ..errors import ObsError
 from ..runtime.instrument import StageStats
 
-#: Wall-clock buckets (seconds) sized for pipeline stages: sub-millisecond
-#: probes up to multi-minute blocking passes.
-LATENCY_BUCKETS: tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0
+#: Ratio between consecutive latency bucket bounds. Inside one bucket the
+#: interpolated quantile and the exact one differ by less than this ratio
+#: minus one (20%), for any value between the first and last bound.
+LATENCY_RATIO = 1.2
+#: Wall-clock buckets (seconds): geometric from 10 µs to about 333 s, so
+#: sub-millisecond ``match()`` calls and multi-minute blocking passes
+#: resolve alike.
+LATENCY_BUCKETS: tuple[float, ...] = tuple(
+    1e-5 * LATENCY_RATIO**i for i in range(96)
 )
 #: Log-ish buckets for candidate-set / pair-list sizes.
 SIZE_BUCKETS: tuple[float, ...] = (
@@ -198,12 +202,6 @@ class MetricsRegistry:
         if name in SIZE_COUNTERS:
             self.histogram("candidate_set_size", SIZE_BUCKETS).observe(value)
 
-    def observe_chunk(self, items: int, seconds: float) -> None:
-        """One executor chunk (serial or pooled)."""
-        self.counter("chunks").inc()
-        self.counter("chunk_items").inc(items)
-        self.histogram("chunk_seconds", LATENCY_BUCKETS).observe(seconds)
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-ready state, sorted by metric name."""
         return {
@@ -246,8 +244,6 @@ def observe_stage_tree(registry: MetricsRegistry, root: StageStats) -> None:
             registry.observe_stage(stats.name, stats.seconds)
         for name, value in stats.counters.items():
             registry.observe_counter(name, value)
-        for chunk in stats.chunks:
-            registry.observe_chunk(chunk.items, chunk.seconds)
         for child in stats.children:
             walk(child, False)
 

@@ -5,7 +5,7 @@ runs with no record of where the time went; PR 1's
 :class:`~repro.runtime.instrument.Instrumentation` keeps an in-process
 stage tree, but the tree dies with the process. A
 :class:`TracingInstrumentation` streams the same events — span start/end
-with wall-clock timestamps, counters, executor chunk records — to a JSONL
+with wall-clock timestamps, counters, resource deltas — to a JSONL
 file as they happen, so a run that crashes (or is still running) leaves an
 inspectable artifact, and :func:`load_trace` reconstructs the exact
 :class:`~repro.runtime.instrument.StageStats` tree from the file.
@@ -22,11 +22,10 @@ Trace format (one JSON object per line):
     the in-process tree records — wall timestamps are informational).
 ``{"event": "counter", "span": i, "name": ..., "value": v}``
     one :meth:`~repro.runtime.instrument.Instrumentation.count` call.
-``{"event": "chunk", "span": i, "worker": w, "items": n, "seconds": s, ...}``
-    one executor chunk record; version-2 traces add the worker-side
-    readings ``cpu_seconds``, ``peak_rss_bytes``, ``cache_hits`` and
-    ``cache_misses`` (absent fields read back as zero, so version-1
-    traces keep loading).
+``{"event": "chunk", ...}``
+    a worker-pool chunk record, written by versions that had a process
+    pool. Nothing emits it any more; readers skip it, so older traces
+    keep loading.
 ``{"event": "resource", "span": i, "cpu_user": ..., "cpu_sys": ..., ...}``
     per-stage resource delta (version 2; emitted after the span's
     ``end`` when a :class:`~repro.obs.resources.ResourceSampler` is
@@ -43,12 +42,9 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from ..errors import ObsError
-from ..runtime.instrument import ChunkRecord, Instrumentation, StageStats
+from ..runtime.instrument import Instrumentation, StageStats
 
 TRACE_VERSION = 2
-
-#: Optional worker-side chunk readings (version 2); zero when absent.
-_CHUNK_EXTRAS = ("cpu_seconds", "peak_rss_bytes", "cache_hits", "cache_misses")
 
 
 class TraceWriter:
@@ -103,7 +99,7 @@ class TracingInstrumentation(Instrumentation):
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry` fed live:
         per-stage latency histograms, candidate-set-size distributions
-        from the standard pair counters, and executor chunk durations.
+        from the standard pair counters.
         (Do not *also* run :func:`~repro.obs.metrics.observe_stage_tree`
         over the finished tree with the same registry — that would count
         every stage twice.)
@@ -156,20 +152,6 @@ class TracingInstrumentation(Instrumentation):
         )
         if self.metrics is not None:
             self.metrics.observe_counter(name, value)
-
-    def _chunk_recorded(self, stats: StageStats, record: ChunkRecord) -> None:
-        event = {
-            "event": "chunk", "span": self._span(stats),
-            "worker": record.worker, "items": record.items,
-            "seconds": record.seconds,
-        }
-        for key in _CHUNK_EXTRAS:
-            value = getattr(record, key)
-            if value:
-                event[key] = value
-        self._emit(event)
-        if self.metrics is not None:
-            self.metrics.observe_chunk(record.items, record.seconds)
 
     def _resource_recorded(self, stats: StageStats, delta: dict[str, float]) -> None:
         self._emit({"event": "resource", "span": self._span(stats), **delta})
@@ -232,8 +214,9 @@ def trace_to_stats(events: Iterable[dict[str, Any]]) -> StageStats:
 
     The reconstruction is exact: span durations are taken from ``end``
     events (JSON round-trips Python floats losslessly), counters re-sum
-    the counter events, chunk records are restored verbatim. Spans with
-    no ``end`` event (the process died mid-stage) keep ``seconds=0.0``.
+    the counter events, resource deltas fold back in; legacy ``chunk``
+    events are skipped. Spans with no ``end`` event (the process died
+    mid-stage) keep ``seconds=0.0``.
     """
     spans: dict[int, StageStats] = {}
     root: StageStats | None = None
@@ -257,15 +240,7 @@ def trace_to_stats(events: Iterable[dict[str, Any]]) -> StageStats:
             elif kind == "counter":
                 spans[event["span"]].count(event["name"], event["value"])
             elif kind == "chunk":
-                spans[event["span"]].chunks.append(
-                    ChunkRecord(
-                        event["worker"], event["items"], event["seconds"],
-                        event.get("cpu_seconds", 0.0),
-                        event.get("peak_rss_bytes", 0),
-                        event.get("cache_hits", 0),
-                        event.get("cache_misses", 0),
-                    )
-                )
+                pass  # written by versions with a worker pool; no reader left
             elif kind == "resource":
                 delta = {
                     k: v for k, v in event.items()

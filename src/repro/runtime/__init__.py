@@ -1,23 +1,22 @@
-"""Parallel, instrumented runtime for the pipeline's hot paths.
+"""Instrumented runtime for the pipeline's hot paths.
 
 The unifying entry point is :mod:`~repro.runtime.context` — an
-:class:`~repro.runtime.context.EngineSession` owns the pool, token
-cache, artifact store, instrumentation, metrics, provenance policy
-and seed, and `session.run_stage` is the single
-store/trace/provenance glue path every stage operator runs through.
+:class:`~repro.runtime.context.EngineSession` owns the token cache,
+artifact store, instrumentation, metrics, provenance policy and seed,
+and `session.run_stage` is the single store/trace/provenance glue path
+every stage operator runs through. Every stage runs serially in the
+calling process.
 
-Underneath it, three small pieces, all opt-in:
+Underneath it, two small pieces:
 
-* :mod:`~repro.runtime.executor` — a chunked process-pool executor whose
-  results are bit-identical to the serial loops it replaces;
 * :mod:`~repro.runtime.cache` — a shared tokenization memo-cache so the
   Section-7 blockers and down-sampling tokenize each column once;
 * :mod:`~repro.runtime.instrument` — nestable stage timers/counters with a
   text :class:`~repro.runtime.instrument.StageReport` renderer.
 
 Every public entry point takes a keyword-only ``session=``; without one
-(and without an ambient session) it runs under a default serial
-``EngineSession()`` — no pool, no store, no instrumentation.
+(and without an ambient session) it runs under a default
+``EngineSession()`` — no store, no instrumentation.
 """
 
 from .cache import CacheStats, InternedTokens, TokenCache, get_default_cache
@@ -28,14 +27,7 @@ from .context import (
     current_session,
     resolve_session,
 )
-from .executor import (
-    CHUNKS_PER_WORKER,
-    ChunkedExecutor,
-    WorkerPool,
-    chunk_ranges,
-)
 from .instrument import (
-    ChunkRecord,
     Instrumentation,
     StageReport,
     StageStats,
@@ -45,10 +37,7 @@ from .instrument import (
 )
 
 __all__ = [
-    "CHUNKS_PER_WORKER",
     "CacheStats",
-    "ChunkRecord",
-    "ChunkedExecutor",
     "DEFAULT_SEED",
     "EngineSession",
     "Instrumentation",
@@ -57,8 +46,6 @@ __all__ = [
     "StageReport",
     "StageStats",
     "TokenCache",
-    "WorkerPool",
-    "chunk_ranges",
     "count",
     "current_session",
     "get_default_cache",

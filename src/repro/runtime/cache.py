@@ -18,7 +18,7 @@ blockers and features ask.
 The cache also holds the session's Jaro-Winkler table
 (:class:`PairScoreTable`): Monge-Elkan's inner similarity per ordered pair
 of interned token ids, so a token pair is scored once per session however
-many columns, chunks, requests and patches need it. Ids are only
+many columns, requests and patches need it. Ids are only
 meaningful within the vocabulary that assigned them, so :meth:`TokenCache.clear`
 drops the table together with the vocabulary.
 
@@ -237,7 +237,7 @@ class TokenCache:
         Derived from (and aligned with) :meth:`column_tokens`: ``None``
         where that column is ``None``, an :class:`InternedTokens` entry
         otherwise. Rows whose cells hold *equal* token sets share one
-        entry object, so chunk pickling ships each distinct cell once and
+        entry object, so a column holds each distinct cell once and
         identity-keyed memo tables collapse repeated cells.
         """
         per_table = self._tables.setdefault(table, {})

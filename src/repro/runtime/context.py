@@ -1,6 +1,6 @@
 """One execution context for the whole pipeline: :class:`EngineSession`.
 
-The runtime capabilities grew one PR at a time — worker pools, the
+The runtime capabilities grew one at a time — the token cache, the
 artifact store, tracing/metrics/provenance — and each
 arrived as another optional keyword argument threaded through blockers,
 ``extract_feature_vectors``, :class:`~repro.core.workflow.EMWorkflow` and
@@ -10,19 +10,22 @@ should compose *all* of those capabilities without per-call plumbing.
 
 An :class:`EngineSession` is the one object that owns them:
 
-* the shared :class:`~repro.runtime.executor.WorkerPool` (created lazily,
-  shut down on exit — including on exceptions);
 * the :class:`~repro.runtime.cache.TokenCache`;
 * the artifact store, instrumentation handle, metrics registry,
-  provenance switch and seed.
+  provenance switch and seed;
+* the teardown of what it created (the trace writer, the store's
+  deferred state) — on exit, including on exceptions.
+
+Every stage runs in the calling process; there is one serial execution
+path.
 
 Sessions install themselves as the ambient default via a
 :mod:`contextvars` variable, so callers write::
 
-    with EngineSession(workers=4, store=store):
+    with EngineSession(store=store):
         run_combined_workflow(...)
 
-and every stage resolves the same pool/store/trace context with zero
+and every stage resolves the same store/trace context with zero
 keyword threading. Each public entry point takes one keyword-only
 ``session=`` and passes it to :func:`resolve_session`: the explicit
 session, else the ambient one, else a default serial session.
@@ -36,14 +39,12 @@ matcher prediction previously each re-implemented.
 
 from __future__ import annotations
 
-import os
 from contextlib import nullcontext
 from contextvars import ContextVar
-from typing import Any, Callable, Sequence
+from typing import Any
 
-from ..errors import UncacheableError
+from ..errors import UncacheableError, WorkflowError
 from .cache import TokenCache, get_default_cache
-from .executor import ChunkedExecutor, WorkerPool
 from .instrument import Instrumentation, count, stage
 
 _CURRENT: ContextVar["EngineSession | None"] = ContextVar(
@@ -58,7 +59,7 @@ def current_session() -> "EngineSession | None":
 
     Context variables are per-thread (and per-async-task): a session
     entered in one thread is invisible to others, so concurrent runs
-    cannot leak pools or stores into each other.
+    cannot leak stores or traces into each other.
     """
     return _CURRENT.get()
 
@@ -120,8 +121,10 @@ class EngineSession:
     Parameters
     ----------
     workers:
-        Process-pool width shared by all stages. ``None``/``1`` is
-        strictly serial (bit-identical to parallel runs by construction).
+        Accepted only as ``None`` or ``1``: every stage runs in the
+        calling process. Any other value raises
+        :class:`~repro.errors.WorkflowError` (parallel execution was
+        removed).
     store:
         Optional :class:`~repro.store.store.ArtifactStore`; stages run
         through :meth:`run_stage` are memoized by content fingerprints.
@@ -152,9 +155,6 @@ class EngineSession:
         has none), so every stage records CPU/RSS/GC deltas — and traced
         sessions stream them as ``resource`` events. Off by default:
         resource probing never engages unless asked for.
-    pool:
-        An externally owned :class:`~repro.runtime.executor.WorkerPool`;
-        the session uses it but never shuts it down.
     token_cache:
         Tokenization memo-cache; defaults to the process-wide cache so
         independent sessions still share tokenization work.
@@ -171,19 +171,20 @@ class EngineSession:
         provenance: Any = False,
         seed: int = DEFAULT_SEED,
         resources: bool = False,
-        pool: WorkerPool | None = None,
         token_cache: TokenCache | None = None,
     ) -> None:
-        self.workers = max(1, int(workers)) if workers else 1
+        if workers not in (None, 1):
+            raise WorkflowError(
+                f"EngineSession(workers={workers!r}): parallel execution was "
+                "removed; every stage runs serially in the calling process "
+                "(pass workers=1 or omit it)"
+            )
         self.store = store
         self.metrics = metrics
         self.provenance = provenance
         self.seed = seed
         self.token_cache = token_cache if token_cache is not None else get_default_cache()
-        self._injected_pool = pool
-        self._owned_pool: WorkerPool | None = None
         self._owned_writer: Any = None
-        self._pid = os.getpid()
         self._tokens: list[Any] = []
         self._closed = False
         if trace_path is not None:
@@ -209,47 +210,15 @@ class EngineSession:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    @property
-    def worker_pool(self) -> WorkerPool | None:
-        """The pool every stage shares.
-
-        The injected pool when one was given; otherwise a lazily created
-        session-owned pool (open sessions with ``workers > 1`` only).
-        Fork-started worker processes inherit the session object
-        but must never touch the parent's pool handle, so a PID check
-        returns ``None`` in children.
-        """
-        if os.getpid() != self._pid:
-            return None
-        if self._injected_pool is not None:
-            return self._injected_pool
-        if self.workers > 1 and not self._closed:
-            if self._owned_pool is None:
-                self._owned_pool = WorkerPool(self.workers)
-            return self._owned_pool
-        return None
-
-    def executor(self) -> ChunkedExecutor:
-        """A chunk mapper wired to this session's pool and telemetry."""
-        return ChunkedExecutor(
-            workers=self.workers,
-            instrumentation=self.instrumentation,
-            pool=self.worker_pool,
-        )
-
     def close(self) -> None:
         """Release everything the session owns (idempotent).
 
-        Shuts down the session-created worker pool, closes the
-        session-created trace writer and flushes the store (writing the
-        state its hits deferred and ending its run); injected pools and
-        externally built instrumentation are the caller's to manage.
+        Closes the session-created trace writer and flushes the store
+        (writing the state its hits deferred and ending its run);
+        externally built instrumentation is the caller's to manage.
         """
         was_closed, self._closed = self._closed, True
-        owned, self._owned_pool = self._owned_pool, None
-        if owned is not None and os.getpid() == self._pid:
-            owned.shutdown()
-        if self.store is not None and not was_closed and os.getpid() == self._pid:
+        if self.store is not None and not was_closed:
             self.store.flush()
         writer, self._owned_writer = self._owned_writer, None
         if writer is not None:
@@ -260,8 +229,8 @@ class EngineSession:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        # Teardown runs on exceptions too: a raising stage must not leak
-        # worker processes or an unflushed trace file.
+        # Teardown runs on exceptions too: a raising stage must not leave
+        # an unflushed trace file or store state behind.
         if self._tokens:
             _CURRENT.reset(self._tokens.pop())
         if not self._tokens:
@@ -314,17 +283,8 @@ class EngineSession:
             context=op.store_context(),
         )
 
-    def map_chunks(
-        self,
-        fn: Callable,
-        payloads: Sequence[tuple],
-        sizes: Sequence[int] | None = None,
-    ) -> list[Any]:
-        """``[fn(*p) for p in payloads]`` through the session's executor."""
-        return self.executor().map(fn, payloads, sizes=sizes)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        bits = [f"workers={self.workers}"]
+        bits = []
         if self.store is not None:
             bits.append("store")
         if self.instrumentation is not None:
@@ -335,7 +295,7 @@ class EngineSession:
 def resolve_session(session: EngineSession | None = None) -> EngineSession:
     """The session an entry point executes under: the explicit *session*,
     else the ambient :func:`current_session`, else a default serial
-    ``EngineSession()`` (no store, no instrumentation, no pool)."""
+    ``EngineSession()`` (no store, no instrumentation)."""
     if session is not None:
         return session
     ambient = current_session()

@@ -1,12 +1,11 @@
-"""Stage instrumentation: nestable timers, counters and chunk records.
+"""Stage instrumentation: nestable timers and counters.
 
 The paper's engagement spent "a few days" waiting on blocking and
 feature-extraction runs without ever measuring *where* the time went.
 :class:`Instrumentation` gives every pipeline stage a cheap, optional
-handle to record wall-clock time, domain counters (pairs in/out, cells
-computed, cache hits) and per-worker chunk durations, and
-:class:`StageReport` renders the resulting tree as text so benchmarks can
-print serial-vs-parallel breakdowns instead of asserting speedups.
+handle to record wall-clock time and domain counters (pairs in/out, cells
+computed, cache hits), and :class:`StageReport` renders the resulting
+tree as text so benchmarks can print per-stage breakdowns.
 
 Everything is opt-in: every function in the toolkit that accepts an
 ``instrumentation=`` argument defaults it to ``None`` and behaves exactly
@@ -22,34 +21,12 @@ from typing import Any, Iterator
 
 
 @dataclass
-class ChunkRecord:
-    """Timing of one executor chunk (serial chunks record the parent pid).
-
-    Beyond the parent-observed wall time, each chunk carries the
-    worker-side readings the executor measured around the chunk function:
-    CPU seconds actually burned, the worker process's peak RSS at chunk
-    end (a lifetime high-water mark), and the worker-local token-cache
-    hit/miss deltas. All default to zero so hand-built records and
-    pre-extension traces keep working.
-    """
-
-    worker: int
-    items: int
-    seconds: float
-    cpu_seconds: float = 0.0
-    peak_rss_bytes: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-
-
-@dataclass
 class StageStats:
     """One node of the stage tree: a named timer with counters/children."""
 
     name: str
     seconds: float = 0.0
     counters: dict[str, float] = field(default_factory=dict)
-    chunks: list[ChunkRecord] = field(default_factory=list)
     children: list["StageStats"] = field(default_factory=list)
     #: Per-stage resource deltas (CPU user/sys, RSS delta, peak RSS, GC
     #: collections) — ``None`` unless a resource probe was attached.
@@ -104,12 +81,12 @@ class Instrumentation:
             instr.count("pairs_out", len(pairs))
         print(instr.report())
 
-    Counters and chunk records attach to the innermost open stage (or to
+    Counters attach to the innermost open stage (or to
     the implicit root when no stage is open), so library code can call
     :meth:`count` without knowing how its caller nested it.
 
     Sub-classes may override the ``_stage_started`` / ``_stage_finished`` /
-    ``_counted`` / ``_chunk_recorded`` / ``_resource_recorded`` hooks to
+    ``_counted`` / ``_resource_recorded`` hooks to
     stream the same events elsewhere (see
     :class:`repro.obs.trace.TracingInstrumentation`); the base
     implementations are no-ops.
@@ -160,23 +137,6 @@ class Instrumentation:
         self.current.count(name, value)
         self._counted(self.current, name, value)
 
-    def record_chunk(
-        self,
-        worker: int,
-        items: int,
-        seconds: float,
-        cpu_seconds: float = 0.0,
-        peak_rss_bytes: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-    ) -> None:
-        record = ChunkRecord(
-            worker, items, seconds, cpu_seconds, peak_rss_bytes,
-            cache_hits, cache_misses,
-        )
-        self.current.chunks.append(record)
-        self._chunk_recorded(self.current, record)
-
     # -- subclass hooks (no-ops here) ----------------------------------
     def _stage_started(self, stats: StageStats) -> None:
         pass
@@ -185,9 +145,6 @@ class Instrumentation:
         pass
 
     def _counted(self, stats: StageStats, name: str, value: float) -> None:
-        pass
-
-    def _chunk_recorded(self, stats: StageStats, record: ChunkRecord) -> None:
         pass
 
     def _resource_recorded(self, stats: StageStats, delta: dict[str, float]) -> None:
@@ -221,7 +178,7 @@ def merge_siblings(children: list[StageStats]) -> list[tuple[StageStats, int]]:
 
     A stage run in a loop (say, one blocker per iteration) produces one
     sibling node per iteration; reports want a single line with an ``xN``
-    count, summed time, summed counters and pooled chunk records. The
+    count, summed time and summed counters. The
     merged node's children are the concatenation of all occurrences'
     children (merged again, recursively, at render time). First-seen
     order is preserved; a name that occurs once passes through unchanged.
@@ -239,7 +196,6 @@ def merge_siblings(children: list[StageStats]) -> list[tuple[StageStats, int]]:
         target.seconds += child.seconds
         for key, value in child.counters.items():
             target.count(key, value)
-        target.chunks.extend(child.chunks)
         target.children.extend(child.children)
         if child.resources is not None:
             target.add_resources(child.resources)
@@ -274,12 +230,6 @@ class StageReport:
     @staticmethod
     def _line(label: str, stats: StageStats) -> str:
         extras = [f"{k}={v:g}" for k, v in stats.counters.items()]
-        if stats.chunks:
-            slowest = max(c.seconds for c in stats.chunks)
-            workers = len({c.worker for c in stats.chunks})
-            extras.append(
-                f"chunks={len(stats.chunks)} workers={workers} slowest={slowest:.3f}s"
-            )
         return label + ("  [" + ", ".join(extras) + "]" if extras else "")
 
     def _render(

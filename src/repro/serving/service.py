@@ -23,7 +23,7 @@ handle per blocker, all resolved against a long-lived
     Fault tolerance: all computation runs off handle *previews*; the
     handles and the service's per-record state are committed only after
     every stage succeeded. A matcher that raises mid-patch leaves the
-    indexes uncorrupted, the session pool alive and the trace
+    indexes uncorrupted, the session usable and the trace
     well-formed (``tests/test_serving.py``).
 
 ``match(record)``

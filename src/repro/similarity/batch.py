@@ -1,15 +1,15 @@
-"""Batch-columnar similarity kernels: score whole candidate chunks.
+"""Batch-columnar similarity kernels: score whole candidate columns.
 
 Per-pair kernels pay one Python call per candidate, and on short
 tokens (qgm_3) that overhead dominates the arithmetic. These kernels
 change the hot-loop *shape*, not the arithmetic: one kernel call scores
-an entire chunk.
+an entire column.
 
-Every ``*_batch`` kernel takes two parallel columns — a
-:class:`~repro.runtime.columnar.TokenColumn` (CSR offsets + flat
-``array('i')`` data on the wire, per-row ``frozenset[int]`` views in
-memory) or any aligned sequence of id frozensets — and returns one
-``array('d')`` of scores. Inside the chunk loop the measure body is
+Every ``*_batch`` kernel takes two aligned columns — a
+:class:`~repro.runtime.columnar.TokenColumn` (per-row
+``frozenset[int]`` views) or any aligned sequence of id frozensets — and
+returns one ``array('d')`` of scores. Inside the column loop the measure
+body is
 *inlined*: the per-pair cost is one C-level set intersection plus float
 arithmetic, with no per-pair Python call, no per-pair allocation beyond
 the intersection CPython builds natively, and the output written into a

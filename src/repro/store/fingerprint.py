@@ -36,7 +36,7 @@ from ..table import Table
 #: /2: interned-id kernels under blocking/extraction (outputs unchanged by
 #: construction, but the hot-path implementations were rebuilt wholesale).
 #: /3: batch-columnar scoring — blocker verification and token-feature
-#: columns route through chunk-level kernels over TokenColumn buffers
+#: columns route through column-level kernels over TokenColumn buffers
 #: (outputs bit-identical again, implementations rebuilt again).
 #: /4: segment fingerprints — the delta-aware store layer keys blocking
 #: artifacts by table *segments* (see :func:`fingerprint_table_segments`

@@ -15,10 +15,8 @@ The pipeline modules import this module lazily inside their functions:
 ``core.serialize`` imports the blockers and workflow at module level, so
 the store package may depend on them but not the other way around.
 
-``workers`` and the shared pool are deliberately **excluded** from every
-cache key: the chunked executor guarantees parallel results are
-bit-identical to serial ones, so a stage computed with 8 workers is the
-same artifact as one computed with 1.
+Session settings that do not change a stage's output (instrumentation,
+provenance, the token cache) are not part of any cache key.
 """
 
 from __future__ import annotations

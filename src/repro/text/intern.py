@@ -4,8 +4,7 @@ String token sets are the currency of the blocking and feature-extraction
 hot paths, and intersecting ``frozenset[str]`` objects pays string hashing
 on every probe. A :class:`Vocabulary` maps each distinct token to a dense
 ``int32`` id exactly once; cells become sorted ``array('i')`` id arrays
-that pickle as raw bytes when chunks ship to worker processes, and whose
-``frozenset[int]`` views the kernels in :mod:`repro.similarity.kernels`
+whose ``frozenset[int]`` views the kernels in :mod:`repro.similarity.kernels`
 and :mod:`repro.similarity.batch` intersect over identity-hashed ints.
 
 Ids are assigned in first-intern order, so they depend on interning
@@ -25,7 +24,7 @@ ID_TYPECODE = "i"
 
 
 def id_array(ids: Iterable[int]) -> "array[int]":
-    """An ``array('i')`` over *ids* (the compact wire format for chunks)."""
+    """An ``array('i')`` over *ids* (a compact id buffer)."""
     return array(ID_TYPECODE, ids)
 
 

@@ -10,8 +10,8 @@ Three layers, matching the guarantees the kernels make:
 * **Batch parity** (property-based): every ``*_batch`` kernel in
   :mod:`repro.similarity.batch` matches its string reference *and* its
   per-pair kernel element for element — under duplicate rows, permuted
-  chunk order, re-sliced chunk boundaries, a pickled CSR round trip
-  (the worker wire format), and missing (``None``) rows mapping to NaN.
+  chunk order, re-sliced chunk boundaries, and missing (``None``) rows
+  mapping to NaN.
 * **End-to-end bit-identity**: the small-scenario blocking plan and
   feature extraction produce the same candidate pairs (pair for pair, in
   order) and the same feature matrix (cell for cell) as the string
@@ -20,8 +20,6 @@ Three layers, matching the guarantees the kernels make:
 """
 
 import math
-import os
-import pickle
 import random
 
 import numpy as np
@@ -196,8 +194,7 @@ class TestBatchKernelParity:
     @given(row_pairs, st.integers(0, 2**31), st.data())
     def test_chunk_boundaries_are_invisible(self, rows, seed, data):
         # Scoring slices [0, cut) and [cut, n) — including the empty and
-        # single-row slices — concatenates to scoring the whole chunk,
-        # and survives the pickled CSR round trip workers see.
+        # single-row slices — concatenates to scoring the whole chunk.
         sa_col, sb_col = _interned_rows(rows, seed)
         col_a = TokenColumn.from_sets(sa_col)
         col_b = TokenColumn.from_sets(sb_col)
@@ -206,9 +203,10 @@ class TestBatchKernelParity:
             whole = list(batch_kernel(col_a, col_b))
             parts = []
             for start, stop in ((0, cut), (cut, len(rows))):
-                shipped_a = pickle.loads(pickle.dumps(col_a.slice(start, stop)))
-                shipped_b = pickle.loads(pickle.dumps(col_b.slice(start, stop)))
-                parts.extend(batch_kernel(shipped_a, shipped_b))
+                parts.extend(batch_kernel(
+                    TokenColumn.from_sets(sa_col[start:stop]),
+                    TokenColumn.from_sets(sb_col[start:stop]),
+                ))
             assert parts == whole, batch_kernel.__name__
 
     def test_missing_rows_score_nan(self):
@@ -317,7 +315,6 @@ class TestTokenColumn:
         class Entry:  # minimal InternedTokens stand-in
             def __init__(self, ids):
                 self.ids = ids
-                self.sorted = id_array(sorted(ids))
 
         entry = Entry(sa)
         col = TokenColumn.from_entries([entry, None, entry])
@@ -326,26 +323,6 @@ class TestTokenColumn:
         assert sets[0] is sa and sets[2] is sa  # zero-copy: same object
         assert sets[1] is None
 
-    def test_pickle_ships_csr_and_round_trips(self):
-        col = TokenColumn.from_sets([frozenset({3, 1}), None, frozenset()])
-        shipped = pickle.loads(pickle.dumps(col))
-        assert shipped.sets() == (frozenset({1, 3}), None, frozenset())
-        offsets, data, missing = shipped.csr()
-        assert list(offsets) == [0, 2, 2, 2]
-        assert list(data) == [1, 3]
-        assert missing == (1,)
-
-    def test_slice_of_csr_backed_column(self):
-        col = pickle.loads(
-            pickle.dumps(
-                TokenColumn.from_sets(
-                    [frozenset({1}), None, frozenset({2, 3}), frozenset()]
-                )
-            )
-        )
-        assert col.slice(1, 3).sets() == (None, frozenset({2, 3}))
-        assert col.slice(2, 2).sets() == ()
-
     def test_gather_column_indexes_rows(self):
         vocab = Vocabulary()
         _, sa = interned(vocab, frozenset({"x"}), 0)
@@ -353,7 +330,6 @@ class TestTokenColumn:
         class Entry:
             def __init__(self, ids):
                 self.ids = ids
-                self.sorted = id_array(sorted(ids))
 
         column = (Entry(sa), None, Entry(sa))
         gathered = gather_column(column, [2, 0, 1])
@@ -705,22 +681,6 @@ class TestJaroWinklerTable:
             assert held.all() or table.evictions > evictions
             assert len(table._tail[0]) <= tail_bound
         assert table.hits + table.misses == 2 * sum(len(b) for b in batches)
-
-
-@pytest.mark.parallel
-@pytest.mark.skipif(
-    int(os.environ.get("REPRO_WORKERS", "2")) < 2,
-    reason="REPRO_WORKERS < 2 disables parallel-equivalence tests",
-)
-def test_serial_and_parallel_match_oracle(blocked):
-    candidates, fs = blocked
-    matrices = []
-    for workers in (1, 2):
-        with EngineSession(workers=workers, token_cache=TokenCache()) as session:
-            matrices.append(_extract(candidates, fs, session))
-    serial, parallel = matrices
-    assert parallel.tobytes() == serial.tobytes()
-    assert np.array_equal(serial, extract_rows(candidates, fs), equal_nan=True)
 
 
 # ----------------------------------------------------------------------

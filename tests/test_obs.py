@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
 
 from repro.errors import ObsError
 from repro.obs import (
+    LATENCY_BUCKETS,
     Counter,
     Histogram,
     ListSink,
@@ -30,12 +33,11 @@ from repro.runtime import Instrumentation, StageStats, merge_siblings
 
 
 def build_tree(instr: Instrumentation) -> None:
-    """A nested stage tree with counters, chunks and repeated siblings."""
+    """A nested stage tree with counters and repeated siblings."""
     with instr.stage("blocking"):
         for _ in range(3):
             with instr.stage("probe"):
                 instr.count("pairs_out", 10)
-        instr.record_chunk(worker=1, items=50, seconds=0.25)
         instr.count("candidates", 30)
     with instr.stage("matching"):
         with instr.stage("predict"):
@@ -51,7 +53,7 @@ class TestTraceRoundTrip:
         sink = ListSink()
         instr = TracingInstrumentation(writer=sink)
         build_tree(instr)
-        # dataclass equality: names, seconds, counters, chunks, children
+        # dataclass equality: names, seconds, counters, children
         assert trace_to_stats(sink.events) == instr.root
 
     def test_file_round_trip(self, tmp_path):
@@ -93,6 +95,26 @@ class TestTraceRoundTrip:
             trace_to_stats([header, header])
         with pytest.raises(ObsError, match="unknown trace event"):
             trace_to_stats([header, {"event": "bogus"}])
+
+    def test_legacy_chunk_events_are_skipped(self, tmp_path):
+        # Traces written while a worker pool existed carry version-2
+        # ``chunk`` events; they load, and contribute nothing.
+        path = tmp_path / "v2.jsonl"
+        events = [
+            {"event": "trace", "version": 2, "name": "run", "ts": 0.0},
+            {"event": "start", "span": 1, "parent": 0, "name": "extract", "ts": 0.0},
+            {"event": "chunk", "span": 1, "worker": 4242, "items": 50,
+             "seconds": 0.25, "cpu_seconds": 0.2, "peak_rss_bytes": 1024,
+             "cache_hits": 3, "cache_misses": 1},
+            {"event": "counter", "span": 1, "name": "pairs", "value": 50},
+            {"event": "end", "span": 1, "ts": 0.5, "seconds": 0.5},
+        ]
+        path.write_text("".join(json.dumps(e) + "\n" for e in events))
+        root = load_trace(path)
+        extract = root.find("extract")
+        assert extract.seconds == 0.5
+        assert extract.counters == {"pairs": 50}
+        assert extract.children == [] and root.counters == {}
 
     def test_read_trace_rejects_junk(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -152,6 +174,34 @@ class TestHistogram:
         with pytest.raises(ObsError, match="strictly increase"):
             Histogram("t", buckets=(1.0, 1.0, 2.0))
 
+    def test_latency_buckets_bound_the_quantile_error(self):
+        # Geometric bounds at ratio <= 1.25 keep every interpolated
+        # quantile within 25% of the exact nearest-rank quantile, for
+        # latencies anywhere from 10 us to 300 s.
+        bounds = LATENCY_BUCKETS
+        assert bounds[0] == pytest.approx(1e-5) and bounds[-1] >= 300.0
+        assert max(b / a for a, b in zip(bounds, bounds[1:])) <= 1.25
+        rng = random.Random(7)
+        samples = {
+            "log-uniform": [
+                10 ** rng.uniform(-5, math.log10(300)) for _ in range(5000)
+            ],
+            "match-like": [rng.lognormvariate(math.log(1.2e-3), 0.3)
+                           for _ in range(2000)],
+            "bimodal": [rng.choice((2e-4, 3.0)) * rng.uniform(1, 1.1)
+                        for _ in range(999)],
+            "few": [4e-3, 1.1e-3, 0.9e-3],
+        }
+        for label, values in samples.items():
+            h = Histogram("t", bounds)
+            for v in values:
+                h.observe(v)
+            ordered = sorted(values)
+            for q in (0.01, 0.05, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+                exact = ordered[math.ceil(q * len(ordered)) - 1]
+                error = abs(h.quantile(q) - exact) / exact
+                assert error <= 0.25, (label, q, exact, h.quantile(q))
+
     def test_snapshot_shape(self):
         h = Histogram("t", buckets=(1.0, 10.0))
         h.observe(0.5)
@@ -188,7 +238,6 @@ class TestMetricsRegistry:
         observe_stage_tree(registry, instr.root)
         # 6 stages: blocking, 3x probe, matching, predict — root not counted
         assert registry.histograms["stage_seconds"].count == 6
-        assert registry.counters["chunks"].value == 1
         assert registry.counters["root_level"].value == 2
 
     def test_live_feed_equals_post_hoc(self):

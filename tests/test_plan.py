@@ -359,6 +359,15 @@ class TestCLI:
         assert exc.value.code == 2  # argparse usage error, nothing ran
         assert "--blocker" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["casestudy", "serve"])
+    def test_workers_flag_is_rejected(self, capsys, command):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--small", "--workers", "2"])
+        assert exc.value.code == 2  # argparse usage error, nothing ran
+        assert "--workers" in capsys.readouterr().err
+
     def test_plan_flag_loads_example_spec(self):
         from repro.__main__ import _plan_from_args
 

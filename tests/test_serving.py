@@ -27,7 +27,7 @@ from repro.errors import IncrementalBlockingError, ServingError
 from repro.matchers import MLMatcher
 from repro.ml import DecisionTreeClassifier
 from repro.obs.trace import load_trace
-from repro.runtime.context import EngineSession
+from repro.runtime.context import EngineSession, current_session
 from repro.serving import MatchService
 from repro.table import Table
 
@@ -240,14 +240,14 @@ class _BoomMatcher:
 
 def test_raising_patch_leaves_service_uncorrupted(tmp_path):
     """Satellite regression: a matcher raising mid-patch must leave the
-    posting indexes uncommitted, the session pool alive and the trace
+    posting indexes uncommitted, the session open and the trace
     well-formed — and the next call must serve correct results."""
     left, right, features, matcher, positive, negative, blockers = (
         serving_world()
     )
     boom = _BoomMatcher(matcher)
     trace_path = tmp_path / "trace.jsonl"
-    session = EngineSession(workers=2, trace_path=trace_path)
+    session = EngineSession(trace_path=trace_path)
     probe = {"id": 9, "num": None, "t": "x y z q"}
     with session:
         service = MatchService(
@@ -255,7 +255,6 @@ def test_raising_patch_leaves_service_uncorrupted(tmp_path):
             matcher=boom, feature_set=features, blockers=blockers,
             positive_rules=positive, negative_rules=negative, session=session,
         )
-        pool = session.worker_pool
         before_ids = service.live_ids()
         before_matches = service.current_matches()
         before_state = service.blocking_state()
@@ -267,8 +266,8 @@ def test_raising_patch_leaves_service_uncorrupted(tmp_path):
         assert service.live_ids() == before_ids
         assert service.current_matches() == before_matches
         assert service.blocking_state() == before_state
-        # the session pool survived the fault
-        assert session.worker_pool is pool and (pool is None or pool.active)
+        # the fault did not unwind the session: it is still the ambient one
+        assert current_session() is session
         # the next calls serve correct results on the uncorrupted state
         retry = service.apply_patch(upserts=[probe])
         fresh = build_service(

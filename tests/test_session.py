@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import importlib.util
-import multiprocessing
 import threading
 from pathlib import Path
 
 import pytest
 
 from repro.casestudy import run_combined_workflow, train_workflow_matcher
-from repro.errors import UncacheableError
+from repro.errors import ReproError, UncacheableError, WorkflowError
 from repro.obs.trace import load_trace
 from repro.runtime.context import (
     EngineSession,
@@ -30,38 +29,50 @@ class _BoomStage(StageOperator):
         raise RuntimeError("stage exploded")
 
 
-def _probe_child_session(value):
-    """Runs inside a forked worker: the inherited session must not expose
-    the parent's pool handle."""
-    session = current_session()
-    pool_is_hidden = session is None or session.worker_pool is None
-    return (value, pool_is_hidden)
+def test_raising_stage_flushes_trace_and_store(tmp_path):
+    """A mid-run exception must close the session: the JSONL trace is
+    readable and the store has written its deferred state."""
+    from repro.store import ArtifactStore
 
-
-def test_raising_stage_closes_pool_and_flushes_trace(tmp_path):
-    """Satellite regression: a mid-run exception must tear down the
-    session-owned worker pool and leave a readable JSONL trace."""
     trace_path = tmp_path / "trace.jsonl"
-    session = EngineSession(workers=2, trace_path=trace_path)
+    store = ArtifactStore(tmp_path / "store")
+    session = EngineSession(trace_path=trace_path, store=store)
+    flushed = []
+    store.flush = lambda: flushed.append(True)
     with pytest.raises(RuntimeError, match="stage exploded"):
         with session:
-            pool = session.worker_pool
-            assert pool is not None and pool.active
-            # Start the worker processes so there is something to leak.
-            assert session.map_chunks(_probe_child_session, [(1,), (2,)])
             session.run_stage(_BoomStage())
-    assert session.worker_pool is None  # owned pool released, none recreated
-    assert pool._executor is None  # processes actually shut down
+    assert current_session() is None
+    assert flushed == [True]
     root = load_trace(trace_path)  # writer closed; partial events parse
     assert root.find("boom") is not None
 
 
 def test_close_is_idempotent(tmp_path):
-    session = EngineSession(workers=2, trace_path=tmp_path / "t.jsonl")
-    session.worker_pool
+    from repro.store import ArtifactStore
+
+    store = ArtifactStore(tmp_path / "store")
+    flushed = []
+    store.flush = lambda: flushed.append(True)
+    session = EngineSession(trace_path=tmp_path / "t.jsonl", store=store)
     session.close()
     session.close()
-    assert session.worker_pool is None
+    assert flushed == [True]  # the store is flushed once
+
+
+@pytest.mark.parametrize("workers", [None, 1])
+def test_serial_workers_values_are_accepted(workers):
+    with EngineSession(workers=workers) as session:
+        assert current_session() is session
+
+
+@pytest.mark.parametrize("workers", [0, 2, 8])
+def test_other_workers_values_raise(workers):
+    """Parallel execution was removed: asking for it is a typed error,
+    never a silent serial run."""
+    with pytest.raises(WorkflowError, match="parallel execution was removed"):
+        EngineSession(workers=workers)
+    assert issubclass(WorkflowError, ReproError)
 
 
 def test_trace_path_and_instrumentation_are_exclusive(tmp_path):
@@ -102,28 +113,14 @@ def test_nested_sessions_override_and_restore():
     assert current_session() is None
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork start method unavailable",
-)
-def test_fork_children_never_see_the_parent_pool():
-    """A forked worker inherits the ambient session object; its PID guard
-    must hide the parent's pool handle (no nested pools in children)."""
-    with EngineSession(workers=2) as session:
-        results = session.map_chunks(_probe_child_session, [(1,), (2,), (3,)])
-    assert sorted(v for v, _ in results) == [1, 2, 3]
-    assert all(hidden for _, hidden in results)
-
-
 def test_resolve_session_explicit_then_ambient_then_default():
-    explicit = EngineSession(workers=3)
-    with EngineSession(workers=2, provenance=True) as ambient:
+    explicit = EngineSession(seed=3)
+    with EngineSession(provenance=True) as ambient:
         assert resolve_session(None) is ambient
         assert resolve_session(explicit) is explicit  # explicit wins
     default = resolve_session(None)
-    assert default is not ambient and default.workers == 1
+    assert default is not ambient and default.provenance is False
     assert default.store is None and default.instrumentation is None
-    assert default.worker_pool is None
 
 
 def test_run_stage_counters_and_uncacheable_bypass(tmp_path):
@@ -160,7 +157,7 @@ def test_session_figure10_parity_with_legacy_kwargs(case_study):
     blocking, labeling, matching = (
         case_study.blocking_v2, case_study.labeling, case_study.matching,
     )
-    with EngineSession(workers=2):
+    with EngineSession():
         matcher = train_workflow_matcher(
             blocking.candidates, labeling.labels,
             matching.feature_set, matching.matcher,

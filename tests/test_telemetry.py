@@ -51,9 +51,9 @@ from repro.obs.trace import (
     read_trace,
     trace_to_stats,
 )
-from repro.obs.cli import folded_stacks, render_top, worker_utilization
+from repro.obs.cli import folded_stacks, render_top
 from repro.runtime.context import EngineSession
-from repro.runtime.instrument import ChunkRecord, Instrumentation, StageStats
+from repro.runtime.instrument import Instrumentation, StageStats
 
 from .helpers_serving import serving_world
 
@@ -160,55 +160,20 @@ class TestStageResourceEvents:
 
 
 # ----------------------------------------------------------------------
-# worker-spanning chunk extras
+# trace top
 # ----------------------------------------------------------------------
-class TestChunkExtras:
-    def test_serial_executor_records_worker_readings(self):
-        instr = Instrumentation()
-        with EngineSession(instrumentation=instrumentation_or(instr)) as session:
-            with instr.stage("map"):
-                out = session.map_chunks(_burn_chunk, [(2000,), (3000,)])
-        assert out == [2000, 3000]
-        chunks = instr.find("map").chunks
-        assert len(chunks) == 2
-        for chunk in chunks:
-            assert chunk.cpu_seconds >= 0.0
-            assert chunk.peak_rss_bytes > 0  # Linux: rusage always readable
-            assert chunk.cache_hits == 0 and chunk.cache_misses == 0
-
-    def test_chunk_extras_round_trip(self):
-        sink = ListSink()
-        instr = TracingInstrumentation(writer=sink)
-        with instr.stage("map"):
-            instr.record_chunk(
-                41, 10, 0.5, cpu_seconds=0.25, peak_rss_bytes=1 << 20,
-                cache_hits=7, cache_misses=3,
-            )
-            instr.record_chunk(42, 5, 0.1)  # all-zero extras stay omitted
-        chunk_events = [e for e in sink.events if e["event"] == "chunk"]
-        assert chunk_events[0]["cpu_seconds"] == 0.25
-        assert "cpu_seconds" not in chunk_events[1]  # zeros not serialized
-        rebuilt = trace_to_stats(sink.events)
-        assert rebuilt == instr.root
-        assert rebuilt.find("map").chunks[0] == ChunkRecord(
-            41, 10, 0.5, 0.25, 1 << 20, 7, 3
-        )
-
-    def test_worker_utilization_pools_by_pid(self):
+class TestTraceTop:
+    def test_render_top_ranks_span_paths_by_self_time(self):
         root = StageStats("total")
-        with_chunks = root.child("stage")
-        with_chunks.chunks.extend([
-            ChunkRecord(1, 10, 0.4, 0.2, 100, 8, 2),
-            ChunkRecord(1, 10, 0.6, 0.4, 200, 2, 8),
-            ChunkRecord(2, 5, 0.1, 0.1, 50, 0, 0),
-        ])
-        rows = worker_utilization(root)
-        assert [r["worker"] for r in rows] == [1, 2]  # busiest first
-        assert rows[0]["busy"] == 1.0 and rows[0]["cpu"] == pytest.approx(0.6)
-        assert rows[0]["peak_rss"] == 200  # max, not sum
-        assert rows[0]["cache_hits"] == 10 and rows[0]["cache_misses"] == 10
-        text = render_top(root)
-        assert "50.0%" in text  # worker 1 cache hit rate
+        a = root.child("a")
+        a.seconds = 0.5
+        a.child("b").seconds = 0.4
+        root.child("c").seconds = 0.2
+        lines = render_top(root).splitlines()
+        assert lines[0].startswith("top spans for 'total'")
+        ranked = [line.split()[0] for line in lines[2:]]
+        assert ranked == ["a/b", "c", "a"]  # self: 0.4, 0.2, 0.1
+        assert "worker" not in render_top(root)
 
     def test_folded_stacks_format(self):
         root = StageStats("total")
@@ -221,15 +186,6 @@ class TestChunkExtras:
         assert "total;a;b 200000" in lines
         for line in lines:
             assert re.fullmatch(r"[^ ]+ \d+", line)
-
-
-def _burn_chunk(n: int) -> int:
-    sum(i * i for i in range(n))
-    return n
-
-
-def instrumentation_or(instr):
-    return instr
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,8 @@ when it finds
   that legitimately take them (``ALLOWED_CALLEES``).
 
 The only exemptions are ``SHIM_MODULES``: the primitives that take such
-a handle as their *subject* — the session itself, the executor and
-instrumentation, the obs collectors and the artifact store.
+a handle as their *subject* — the session itself, the instrumentation,
+the obs collectors and the artifact store.
 
 A second check keeps the Figure-10 recipe in one place
 (``repro.plan.figure10_spec``): the hand-written recipe constructors
@@ -36,13 +36,12 @@ from pathlib import Path
 
 BANNED_KEYWORDS = {"workers", "instrumentation", "store"}
 
-#: Primitives that take a pool, instrumentation or store handle as their
+#: Primitives that take an instrumentation or store handle as their
 #: *subject* (events are recorded onto it, or it is what they build), not
 #: as threaded plumbing. Do not add entries — route new code through
 #: EngineSession instead.
 SHIM_MODULES = {
     "repro/runtime/context.py",
-    "repro/runtime/executor.py",
     "repro/runtime/instrument.py",
     "repro/obs/trace.py",
     "repro/obs/metrics.py",
@@ -55,8 +54,6 @@ SHIM_MODULES = {
 #: *consumes* an instrumentation handle).
 ALLOWED_CALLEES = {
     "EngineSession",
-    "WorkerPool",
-    "ChunkedExecutor",
     "Instrumentation",
     "TracingInstrumentation",
     "collect_metrics",
