@@ -12,12 +12,13 @@ similarity of lower-cased word tokens — the same cheap similarity
 MatchCatcher uses to surface survivors quickly. Candidate generation goes
 through an inverted index so the debugger never materialises A x B.
 
-Tokenization goes through the shared
-:class:`~repro.runtime.cache.TokenCache` and Jaccard is computed over
-interned-id frozensets: the intersection/union counts are the same
-integers as over the string sets, so every score — and the ranking — is
-what string Jaccard gives, but the sets hash small ints instead of
-strings and warm runs skip tokenizing entirely.
+Tokenization goes through the session's
+:class:`~repro.runtime.cache.TokenCache`, and Jaccard is computed by
+:func:`~repro.similarity.batch.jaccard_batch` over interned-id frozensets:
+the intersection/union counts are the same integers as over the string
+sets, so every score — and the ranking — is what string Jaccard gives,
+but the sets hash small ints instead of strings and a prior blocking
+pass over the same recipe leaves nothing to tokenize.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from ..runtime.cache import get_default_cache
-from ..similarity.kernels import jaccard_id_sets
+from ..runtime.context import EngineSession, resolve_session
+from ..runtime.instrument import count, stage
+from ..similarity.batch import jaccard_batch
 from ..text.normalize import normalize_title
 from ..text.tokenizers import whitespace
 from .candidate_set import CandidateSet
+from .overlap_family import right_index
 
 
 @dataclass(frozen=True)
@@ -43,23 +46,12 @@ class MissedPairReport:
     best_attrs: tuple[str, str]
 
 
-def _token_id_map(table, key: str, attr: str) -> dict[Any, frozenset]:
-    """Interned-id frozensets per row.
-
-    The cache tokenizes with ``frozenset(whitespace(str(normalize_title(cell))))``
-    (missing and empty cells dropped), then swaps each token for its
-    vocabulary id.
-    """
-    entries = get_default_cache().token_ids_by_id(
-        table, attr, key, whitespace, normalize_title
-    )
-    return {rid: entry.ids for rid, entry in entries.items()}
-
-
 def debug_blocker(
     candidates: CandidateSet,
     attr_pairs: Sequence[tuple[str, str]],
     top_k: int = 100,
+    *,
+    session: EngineSession | None = None,
 ) -> list[MissedPairReport]:
     """Rank pairs outside *candidates* by likelihood of being matches.
 
@@ -72,28 +64,41 @@ def debug_blocker(
         ``[("AwardTitle", "AwardTitle"), ("EmployeeName", "EmployeeName")]``.
     top_k:
         Number of ranked pairs to return.
+    session:
+        The :class:`~repro.runtime.context.EngineSession` whose token
+        cache tokenizes and whose instrumentation times the
+        ``debug_blocker`` stage (the ambient session when ``None``).
     """
+    resolved = resolve_session(session)
+    cache = resolved.token_cache
     in_c = candidates.pair_set()
     ltable, rtable = candidates.ltable, candidates.rtable
     l_key, r_key = candidates.l_key, candidates.r_key
 
     scored: dict[tuple[Any, Any], tuple[float, tuple[str, str]]] = {}
-    for l_attr, r_attr in attr_pairs:
-        l_tokens = _token_id_map(ltable, l_key, l_attr)
-        r_tokens = _token_id_map(rtable, r_key, r_attr)
-        index: dict[int, list[Any]] = {}
-        for rid, tokens in r_tokens.items():
-            for t in tokens:
-                index.setdefault(t, []).append(rid)
-        for lid, tokens in l_tokens.items():
-            seen: set[Any] = set()
-            for t in tokens:
-                seen.update(index.get(t, ()))
-            for rid in seen:
-                if (lid, rid) in in_c:
-                    continue
-                score = jaccard_id_sets(tokens, r_tokens[rid])
-                key = (lid, rid)
+    with stage(resolved.instrumentation, "debug_blocker"):
+        for l_attr, r_attr in attr_pairs:
+            l_entries = cache.token_ids_by_id(
+                ltable, l_attr, l_key, whitespace, normalize_title
+            )
+            r_entries = cache.token_ids_by_id(
+                rtable, r_attr, r_key, whitespace, normalize_title
+            )
+            index, _ = right_index(r_entries)
+            keys: list[tuple[Any, Any]] = []
+            l_sets: list[frozenset] = []
+            r_sets: list[frozenset] = []
+            for lid, entry in l_entries.items():
+                seen: set[Any] = set()
+                for tid in entry.probe:
+                    seen.update(index.get(tid, ()))
+                for rid in seen:
+                    if (lid, rid) not in in_c:
+                        keys.append((lid, rid))
+                        l_sets.append(entry.ids)
+                        r_sets.append(r_entries[rid].ids)
+            count(resolved.instrumentation, "pairs_scored", len(keys))
+            for key, score in zip(keys, jaccard_batch(l_sets, r_sets)):
                 if key not in scored or score > scored[key][0]:
                     scored[key] = (score, (l_attr, r_attr))
 

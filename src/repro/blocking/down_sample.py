@@ -35,18 +35,21 @@ from ..text.tokenizers import whitespace
 
 def _table_row_tokens(
     table: Table, attrs: Sequence[str], cache
-) -> list[set[str]]:
-    """Per-row union of normalized word tokens over *attrs* (cached)."""
+) -> list[set[int]]:
+    """Per-row union of interned normalized word tokens over *attrs*
+    (cached). One vocabulary interns both tables, so the shared-token
+    counts are the integers the string sets would give."""
     columns = [
-        cache.column_tokens(table, attr, whitespace, normalize_title)
+        cache.column_token_ids(table, attr, whitespace, normalize_title)
         for attr in attrs
     ]
-    rows: list[set[str]] = []
+    rows: list[set[int]] = []
     for i in range(table.num_rows):
-        tokens: set[str] = set()
+        tokens: set[int] = set()
         for column in columns:
-            if column[i]:
-                tokens.update(column[i])
+            entry = column[i]
+            if entry is not None:
+                tokens.update(entry.ids)
         rows.append(tokens)
     return rows
 
@@ -98,7 +101,7 @@ class DownSampleStage(StageOperator):
         cache = session.token_cache
         with stage(instrumentation, "tokenize"):
             # the B sample's token universe
-            b_tokens: set[str] = set()
+            b_tokens: set[int] = set()
             for tokens in _table_row_tokens(sampled_b, attrs, cache):
                 b_tokens.update(tokens)
             a_row_tokens = _table_row_tokens(table_a, attrs, cache)

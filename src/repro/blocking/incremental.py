@@ -311,7 +311,7 @@ class _TokenIncrementalBlocking(IncrementalBlocking):
     def state_snapshot(self) -> dict[str, Any]:
         index = PostingIndex()
         for lid, entry in self._entries.items():
-            index.add(lid, entry.sorted)
+            index.add(lid, entry.probe)
         return {
             "index": index.snapshot(self._cache.vocabulary.token_of),
             "pairs": self.pair_state(),

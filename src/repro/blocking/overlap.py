@@ -74,15 +74,14 @@ class OverlapBlocker(TokenBlocker):
         """The rank-ordered ``len - k + 1`` prefix of each record with at
         least k tokens."""
         k = self.threshold
-        vocab = {tid for entry in entries for tid in entry.sorted}
+        vocab = {tid for entry in entries for tid in entry.ids}
         ranked = sorted(vocab, key=lambda tid: (doc_freq.get(tid, 0), token_of(tid)))
         by_rank = {tid: i for i, tid in enumerate(ranked)}.__getitem__
         probes: list[Any] = []
         for entry in entries:
-            ids = entry.sorted
-            if len(ids) < k:
+            if len(entry) < k:
                 probes.append(None)
                 continue
-            ordered = sorted(ids, key=by_rank)
+            ordered = sorted(entry.probe, key=by_rank)
             probes.append(id_array(ordered[: len(ordered) - k + 1]))
         return probes

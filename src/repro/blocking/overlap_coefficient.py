@@ -9,8 +9,10 @@ against the size-aware bound ``ceil(t * min(|X|,|Y|))`` before the
 coefficient itself is checked
 (:func:`~repro.similarity.batch.overlap_coefficient_at_least_batch`).
 
-Each record probes in the *iteration order of its cached frozenset*,
-replayed by :attr:`~repro.runtime.cache.InternedTokens.probe`.
+Each record probes with its unique tokens in the order the tokenizer
+first emits them (:attr:`~repro.runtime.cache.InternedTokens.probe`), so
+the probe order, and with it the emission order, is a function of the
+cell text alone and not of the string hash seed.
 Tokenization, indexing, capping and the probe are shared with the
 overlap blocker in :mod:`repro.blocking.overlap_family`.
 """
@@ -58,5 +60,5 @@ class OverlapCoefficientBlocker(TokenBlocker):
         doc_freq: Mapping[int, int],
         token_of: Callable[[int], str],
     ) -> list[Any]:
-        """Every token of every record, in cached frozenset order."""
+        """Every token of every record, in first-emission order."""
         return [entry.probe for entry in entries]

@@ -34,10 +34,14 @@ the chunks saved (measurements in ``docs/blocking.md``).
 Emission order: pairs come per left record, in left-table order, and
 within a record in the iteration order of its ``seen`` set. That order
 is a function of the distinct-insertion sequence: probe tokens in probe
-order (the rank is a total order; the coefficient probe replays the
-cached frozenset's iteration order as an ``array('i')``), posting lists
-in right-row order. The keep-mask filters the ordered candidate list in
-place.
+order, posting lists in right-row order. Both probe orders are functions
+of the inputs alone: the overlap rank is a total order over
+``(doc_freq, token)``, and the coefficient probe is the record's unique
+tokens in the tokenizer's emission order. So with integer record ids,
+whose hashes do not vary by process, the pairs, their order and the
+stored candidate artifacts do not depend on the process's string hash
+seed (``tests/test_determinism.py`` runs them under two seeds).
+The keep-mask filters the ordered candidate list in place.
 """
 
 from __future__ import annotations
@@ -64,12 +68,12 @@ def right_index(
     """The right side's inverted index and document frequencies.
 
     The outer loop runs in right-row order, so every posting list holds
-    its rids in that order; each record contributes each of its sorted
-    unique ids once, so a posting's length is the token's doc frequency.
+    its rids in that order; each record contributes each of its unique
+    ids once, so a posting's length is the token's doc frequency.
     """
     index: dict[int, list[Any]] = {}
     for rid, entry in r_entries.items():
-        for tid in entry.sorted:
+        for tid in entry.probe:
             index.setdefault(tid, []).append(rid)
     return index, {tid: len(rids) for tid, rids in index.items()}
 

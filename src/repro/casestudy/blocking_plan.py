@@ -117,6 +117,7 @@ def run_blocking(
         candidates,
         attr_pairs=[("AwardTitle", "AwardTitle")],
         top_k=debug_top_k,
+        session=resolved,
     )
     return BlockingOutcome(
         c1=c1,

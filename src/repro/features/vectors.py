@@ -9,16 +9,18 @@ need to point back at records.
 Extraction is the Section-9 hot path (n pairs x d features). It runs
 *columnar over interned ids*:
 
-* token set measures (``jac``/``cos``/``dice``/``overlap_coeff``) are
-  gathered into :class:`~repro.runtime.columnar.TokenColumn` columns
-  from the shared :class:`~repro.runtime.cache.TokenCache` (each
-  cell tokenized and interned once per recipe, not once per pair per
-  feature) and scored one whole column per call by the batch kernels in
-  :mod:`repro.similarity.batch` — no per-pair Python call survives on
-  the hot path;
-* a Monge-Elkan (``mel``) column reads token *bags* in tokenizer order
-  and works in three steps: collect the distinct token-id pairs its
-  distinct bag pairs need; score the ones missing from the session's
+* token features read the interned entries of the shared
+  :class:`~repro.runtime.cache.TokenCache` (each distinct cell text
+  tokenized and interned once per recipe, not once per pair per
+  feature);
+* set measures (``jac``/``cos``/``dice``/``overlap_coeff``) gather each
+  pair's id sets into two aligned lists and score the whole column in
+  one call of a batch kernel in :mod:`repro.similarity.batch` — no
+  per-pair Python call survives on the hot path;
+* a Monge-Elkan (``mel``) column reads the same entries' token *bags*
+  (tokenizer order, repeats kept) and works in three steps: collect the
+  distinct token-id pairs its distinct bag pairs need; score the ones
+  missing from the session's
   Jaro-Winkler table (:attr:`TokenCache.jw_scores
   <repro.runtime.cache.TokenCache.jw_scores>`, keyed by packed interned
   ids) in one :func:`~repro.similarity.batch.jaro_winkler_batch` call;
@@ -58,7 +60,6 @@ from ..blocking.candidate_set import CandidateSet, Pair
 from ..errors import FeatureError
 from ..ml.impute import MeanImputer
 from ..runtime.cache import TokenCache, lowercase, pack_pairs
-from ..runtime.columnar import gather_column
 from ..runtime.context import EngineSession, resolve_session
 from ..runtime.instrument import count, stage
 from ..similarity import batch
@@ -312,6 +313,15 @@ def _character_column(spec: tuple, a_list: Sequence, b_list: Sequence) -> np.nda
     return out
 
 
+def _gather(column: Sequence, rows: Sequence[int], field_name: str) -> list:
+    """``getattr(column[i], field_name)`` for each row *i*, ``None`` where
+    the cell is missing; equal cells keep sharing one object."""
+    return [
+        None if (entry := column[i]) is None else getattr(entry, field_name)
+        for i in rows
+    ]
+
+
 def _kernel_columns(
     candidates: CandidateSet,
     pairs: list[Pair],
@@ -323,11 +333,10 @@ def _kernel_columns(
     Each column is ``(kind, meta, a_list, b_list)`` with the per-pair
     inputs already gathered (``a_list[i]`` belongs to ``pairs[i]``):
 
-    * ``("set", measure, TokenColumn, TokenColumn)`` — columnar token-id
+    * ``("set", measure, ids, ids)`` — per-pair ``frozenset[int]`` id
       sets for the batch kernels in :mod:`repro.similarity.batch`
-      (missing cells ride along as the columns' ``missing`` rows and
-      come out as NaN);
-    * ``("mel", None, bag, bag)`` — tokenizer-order id bags;
+      (missing cells ride along as ``None`` and come out as NaN);
+    * ``("mel", "mel", bag, bag)`` — tokenizer-order id bags;
     * ``("chars", spec, value, value)`` — raw cell values for the
       ``lev_sim``/``jaro``/``jw`` string features, scored by the
       character batch kernels;
@@ -349,19 +358,16 @@ def _kernel_columns(
             _, l_attr, r_attr, measure, tokenizer_name, casefold = spec
             tokenizer = TOKENIZERS[tokenizer_name]
             normalizer = lowercase if casefold else None
-            if measure in batch.BATCH_KERNELS:
+            if measure in batch.BATCH_KERNELS or measure == "mel":
+                kind, field_name = ("mel", "bag") if measure == "mel" else ("set", "ids")
                 l_col = cache.column_token_ids(ltable, l_attr, tokenizer, normalizer)
                 r_col = cache.column_token_ids(rtable, r_attr, tokenizer, normalizer)
-                columns.append(
-                    ("set", measure, gather_column(l_col, li), gather_column(r_col, ri))
-                )
-                continue
-            if measure == "mel":
-                l_col = cache.column_token_bag_ids(ltable, l_attr, tokenizer, normalizer)
-                r_col = cache.column_token_bag_ids(rtable, r_attr, tokenizer, normalizer)
-                columns.append(
-                    ("mel", None, [l_col[i] for i in li], [r_col[i] for i in ri])
-                )
+                columns.append((
+                    kind,
+                    measure,
+                    _gather(l_col, li, field_name),
+                    _gather(r_col, ri, field_name),
+                ))
                 continue
         l_col = ltable[feature.l_attr]
         r_col = rtable[feature.r_attr]

@@ -178,11 +178,9 @@ class RunManifest:
         Accessing the run's stage properties here *computes* any stage not
         already cached, so build the manifest after the run, not before.
         The metrics snapshot folds in the stage tree (when the run was
-        instrumented), the process-wide token cache, and the artifact
+        instrumented), the run session's token cache, and the artifact
         store (when one was attached).
         """
-        from ..runtime.cache import get_default_cache
-
         counts = {
             "blocking_c1": len(run.blocking_v2.c1),
             "blocking_c2": len(run.blocking_v2.c2),
@@ -211,7 +209,7 @@ class RunManifest:
         instrumentation = session.instrumentation
         registry = collect_metrics(
             instrumentation=instrumentation,
-            cache=get_default_cache(),
+            cache=session.token_cache,
             store=session.store,
         )
         monitor = run.monitoring

@@ -145,9 +145,17 @@ class Histogram:
         return self.max  # pragma: no cover - float-rounding fallback
 
     def snapshot(self) -> dict[str, Any]:
+        """JSON-ready state with only the non-empty buckets: ``buckets``
+        holds their upper bounds (``None`` for the overflow bucket) and
+        ``counts`` their counts. A histogram over :data:`LATENCY_BUCKETS`
+        thus writes a few entries instead of 97 mostly-zero ones; older
+        dense snapshots (every bound, one more count for the overflow)
+        carry the same information and load unchanged."""
+        filled = [i for i, n in enumerate(self.bucket_counts) if n]
+        bounds = self.buckets
         return {
-            "buckets": list(self.buckets),
-            "counts": list(self.bucket_counts),
+            "buckets": [bounds[i] if i < len(bounds) else None for i in filled],
+            "counts": [self.bucket_counts[i] for i in filled],
             "count": self.count,
             "sum": self.total,
             "min": self.min,

@@ -1,19 +1,19 @@
 """Shared tokenization/normalization memo-cache.
 
-Section 7 runs three blockers over the *same* title columns, and
-down-sampling tokenizes them again: four full passes of
-``tokenizer(normalizer(value))`` over identical inputs. :class:`TokenCache`
-memoizes the per-column token sets keyed on
-``(attr, tokenizer, normalizer)``, so a column is tokenized once per
-distinct recipe no matter how many blockers ask.
+Section 7 runs three blockers over the *same* title columns,
+down-sampling and the blocking debugger tokenize them again, and the
+Section-9 features tokenize them once more. :class:`TokenCache` gives each
+``(table, attr, tokenizer, normalizer)`` recipe one tokenization pass, so
+a column is tokenized once per recipe no matter how many stages ask.
 
-On top of the string token sets the cache also owns a
-:class:`~repro.text.intern.Vocabulary` and memoizes *interned* columns —
-per-row sorted ``array('i')`` id arrays (and bag-order variants for
-hybrid measures) — which is what the token blockers and the batch
-kernels in :mod:`repro.similarity.batch` consume. A column is therefore tokenized
-once per recipe and interned once per recipe, no matter how many
-blockers and features ask.
+That pass yields one :class:`InternedTokens` entry per distinct
+normalized text: its token bag, its unique probe order and its id set,
+all over the ids of the cache's :class:`~repro.text.intern.Vocabulary`.
+Tokens are interned in the tokenizer's emission order, so every id, and
+every order built from them, is a function of the inputs alone and not of
+the process's string hash seed. Blocking, extraction, down-sampling and
+the blocking debugger all read these entries; the batch kernels in
+:mod:`repro.similarity.batch` score their id sets.
 
 The cache also holds the session's Jaro-Winkler table
 (:class:`PairScoreTable`): Monge-Elkan's inner similarity per ordered pair
@@ -43,9 +43,6 @@ from ..text.intern import Vocabulary, id_array
 from ..text.tokenizers import Tokenizer
 
 Normalizer = Callable[[Any], Any]
-#: One cached column: per-row token sets, ``None`` where the cell (or its
-#: normalized form) is missing.
-ColumnTokens = tuple["frozenset[str] | None", ...]
 
 
 def lowercase(value: Any) -> str:
@@ -61,23 +58,23 @@ def lowercase(value: Any) -> str:
 
 @dataclass(frozen=True)
 class InternedTokens:
-    """One cell's interned token set.
+    """One distinct cell text, tokenized and interned once.
 
-    ``sorted`` holds the sorted unique ids (the CSR wire form);
-    ``probe`` preserves the *iteration order of the underlying frozenset*,
-    which is the order the overlap-coefficient blocker probes in, as ids.
-    ``ids`` holds the same ids as a
-    ``frozenset[int]`` for the blockers' verification step: CPython's
-    C-level set intersection over small ints beats any Python-level merge
-    loop, and the counts it yields are the same integers.
+    ``bag`` holds the ids in the tokenizer's emission order, repeats
+    kept (Monge-Elkan's input). ``probe`` holds the unique ids in
+    first-occurrence order, the order the overlap-coefficient blocker
+    probes in. ``ids`` holds the same ids as a ``frozenset[int]`` for the
+    intersection counts: CPython's C-level set intersection over small
+    ints beats any Python-level merge loop, and the counts it yields are
+    the same integers the string sets give.
     """
 
-    sorted: "Any"  # array('i'), sorted unique
-    probe: "Any"  # array('i'), frozenset iteration order
+    bag: "Any"  # array('i'), emission order, repeats kept
+    probe: "Any"  # array('i'), unique, first-occurrence order
     ids: "frozenset[int]"  # same ids, for C-speed intersection counts
 
     def __len__(self) -> int:
-        return len(self.sorted)
+        return len(self.probe)
 
 
 @dataclass(frozen=True)
@@ -188,17 +185,21 @@ class TokenCache:
         self.hits = 0
         self.misses = 0
 
-    def column_tokens(
+    def column_token_ids(
         self,
         table: Table,
         attr: str,
         tokenizer: Tokenizer,
         normalizer: Normalizer | None = None,
-    ) -> ColumnTokens:
-        """Token sets for every row of ``table[attr]`` (cached).
+    ) -> tuple["InternedTokens | None", ...]:
+        """Interned tokens for every row of ``table[attr]`` (cached).
 
-        The returned tuple is aligned with row indices; missing cells (and
-        cells a normalizer maps to missing) are ``None``.
+        The returned tuple is aligned with row indices: ``None`` where the
+        cell (or its normalized form) is missing, an
+        :class:`InternedTokens` entry otherwise. Each distinct text
+        ``str(normalizer(cell))`` is tokenized once, and rows with equal
+        texts share one entry object, so identity-keyed memo tables
+        collapse repeated cells.
         """
         per_table = self._tables.setdefault(table, {})
         key = (attr, tokenizer, normalizer)
@@ -207,87 +208,9 @@ class TokenCache:
             self.hits += 1
             return cached
         self.misses += 1
-        out: list[frozenset[str] | None] = []
-        for value in table[attr]:
-            if is_missing(value):
-                out.append(None)
-                continue
-            if normalizer is not None:
-                value = normalizer(value)
-                if is_missing(value):
-                    out.append(None)
-                    continue
-            out.append(frozenset(tokenizer(str(value))))
-        column = tuple(out)
-        per_table[key] = column
-        return column
-
-    # ------------------------------------------------------------------
-    # interned columns (the kernel substrate)
-    # ------------------------------------------------------------------
-    def column_token_ids(
-        self,
-        table: Table,
-        attr: str,
-        tokenizer: Tokenizer,
-        normalizer: Normalizer | None = None,
-    ) -> tuple["InternedTokens | None", ...]:
-        """Interned token sets for every row of ``table[attr]`` (cached).
-
-        Derived from (and aligned with) :meth:`column_tokens`: ``None``
-        where that column is ``None``, an :class:`InternedTokens` entry
-        otherwise. Rows whose cells hold *equal* token sets share one
-        entry object, so a column holds each distinct cell once and
-        identity-keyed memo tables collapse repeated cells.
-        """
-        per_table = self._tables.setdefault(table, {})
-        key = ("ids", attr, tokenizer, normalizer)
-        cached = per_table.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        intern = self.vocabulary.intern
-        distinct: dict[frozenset, InternedTokens] = {}
-        out: list[InternedTokens | None] = []
-        for tokens in self.column_tokens(table, attr, tokenizer, normalizer):
-            if tokens is None:
-                out.append(None)
-                continue
-            entry = distinct.get(tokens)
-            if entry is None:
-                probe = id_array(intern(t) for t in tokens)
-                entry = InternedTokens(id_array(sorted(probe)), probe, frozenset(probe))
-                distinct[tokens] = entry
-            out.append(entry)
-        column = tuple(out)
-        per_table[key] = column
-        return column
-
-    def column_token_bag_ids(
-        self,
-        table: Table,
-        attr: str,
-        tokenizer: Tokenizer,
-        normalizer: Normalizer | None = None,
-    ) -> tuple["Any | None", ...]:
-        """Interned token *bags* (duplicates kept, tokenizer order) per row.
-
-        Hybrid measures like Monge-Elkan average over the token bag in
-        emission order, so they need the raw tokenizer output, not the
-        set. Equal cells share one id array object (see
-        :meth:`column_token_ids` for why that matters).
-        """
-        per_table = self._tables.setdefault(table, {})
-        key = ("bag_ids", attr, tokenizer, normalizer)
-        cached = per_table.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
         intern_all = self.vocabulary.intern_all
-        distinct: dict[str, Any] = {}
-        out: list[Any | None] = []
+        by_text: dict[str, InternedTokens] = {}
+        out: list[InternedTokens | None] = []
         for value in table[attr]:
             if is_missing(value):
                 out.append(None)
@@ -298,10 +221,13 @@ class TokenCache:
                     out.append(None)
                     continue
             text = str(value)
-            ids = distinct.get(text)
-            if ids is None:
-                ids = distinct[text] = intern_all(tokenizer(text))
-            out.append(ids)
+            entry = by_text.get(text)
+            if entry is None:
+                bag = intern_all(tokenizer(text))
+                entry = by_text[text] = InternedTokens(
+                    bag, id_array(dict.fromkeys(bag)), frozenset(bag)
+                )
+            out.append(entry)
         column = tuple(out)
         per_table[key] = column
         return column

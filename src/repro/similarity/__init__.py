@@ -1,13 +1,12 @@
 """String, set, hybrid and numeric similarity measures.
 
-:mod:`~repro.similarity.kernels` holds the interned-id twins of the
-set-based measures plus a threshold-banded Levenshtein;
-:mod:`~repro.similarity.batch` holds the chunk-level batch-columnar
-kernels the hot loops route through. All of them return bit-identical
-values to the string references here.
+:mod:`~repro.similarity.batch` holds the batch kernels the hot loops
+route through: the set measures over interned-id frozensets and the
+character measures over code-point arrays. Each returns bit-identical
+values to its string reference here.
 """
 
-from . import batch, kernels
+from . import batch
 from .extra import TfIdfCosine, affine_gap, bag_distance, bag_similarity
 from .hybrid import SoftTfIdf, monge_elkan
 from .numeric import (
@@ -51,7 +50,6 @@ __all__ = [
     "jaccard",
     "jaro",
     "jaro_winkler",
-    "kernels",
     "levenshtein_distance",
     "levenshtein_similarity",
     "monge_elkan",

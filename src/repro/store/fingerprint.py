@@ -36,13 +36,18 @@ from ..table import Table
 #: /2: interned-id kernels under blocking/extraction (outputs unchanged by
 #: construction, but the hot-path implementations were rebuilt wholesale).
 #: /3: batch-columnar scoring — blocker verification and token-feature
-#: columns route through column-level kernels over TokenColumn buffers
+#: columns route through column-level kernels over token-id columns
 #: (outputs bit-identical again, implementations rebuilt again).
 #: /4: segment fingerprints — the delta-aware store layer keys blocking
 #: artifacts by table *segments* (see :func:`fingerprint_table_segments`
 #: and :func:`repro.store.segments.segmented_block`), so whole-table and
 #: segment-level artifacts must never share a key space with /3 entries.
-CODE_SALT = "repro-store/4"
+#: /5: one token pass per recipe, interned in the tokenizer's emission
+#: order — the overlap-coefficient blocker now probes each record's tokens
+#: in first-emission order instead of string-hash order, so its candidate
+#: artifacts hold the same pairs in a new (hash-seed-free) order and /4
+#: entries must not be replayed as current.
+CODE_SALT = "repro-store/5"
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Token interning: dense int32 ids for the similarity kernels.
 
-String token sets are the currency of the blocking and feature-extraction
-hot paths, and intersecting ``frozenset[str]`` objects pays string hashing
-on every probe. A :class:`Vocabulary` maps each distinct token to a dense
-``int32`` id exactly once; cells become sorted ``array('i')`` id arrays
-whose ``frozenset[int]`` views the kernels in :mod:`repro.similarity.kernels`
-and :mod:`repro.similarity.batch` intersect over identity-hashed ints.
+Intersecting ``frozenset[str]`` token sets pays string hashing on every
+probe. A :class:`Vocabulary` maps each distinct token to a dense ``int32``
+id exactly once; the :class:`~repro.runtime.cache.TokenCache` turns each
+distinct cell into ``array('i')`` id arrays and a ``frozenset[int]``,
+which the batch kernels in :mod:`repro.similarity.batch` intersect over
+identity-hashed ints.
 
-Ids are assigned in first-intern order, so they depend on interning
-history — kernel results must only ever depend on id *consistency*
-(equal tokens get equal ids within one vocabulary), never on id values.
-The parity tests assert exactly that by permuting interning order.
+Ids are assigned in first-intern order. The token cache interns in the
+tokenizer's emission order, so ids depend on interning history but never
+on the string hash seed. Kernel results must only ever depend on id
+*consistency* (equal tokens get equal ids within one vocabulary), never
+on id values; the parity tests assert exactly that by permuting
+interning order.
 """
 
 from __future__ import annotations
@@ -62,11 +64,6 @@ class Vocabulary:
         """Ids of *tokens* in iteration order (duplicates preserved)."""
         intern = self.intern
         return array(ID_TYPECODE, (intern(t) for t in tokens))
-
-    def sorted_ids(self, tokens: Iterable[str]) -> "array[int]":
-        """Sorted unique ids of *tokens* — the kernel set representation."""
-        intern = self.intern
-        return array(ID_TYPECODE, sorted({intern(t) for t in tokens}))
 
     def id_of(self, token: str) -> int | None:
         """The id of *token*, or ``None`` when it was never interned."""

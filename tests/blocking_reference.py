@@ -1,19 +1,20 @@
 """Reference overlap-family blocking and feature extraction over strings.
 
 The production blockers (:mod:`repro.blocking.overlap_family`) probe an
-inverted index over interned token ids and verify each chunk with one
-batch keep-mask; feature extraction scores interned columns chunk by
-chunk. These functions keep the straightforward shapes those replaced —
-``frozenset[str]`` token sets, a per-candidate verification loop, and a
-row-dict loop over every pair and feature — so the parity tests and
-``benchmarks/bench_runtime_parallel.py`` can assert that both produce
-the same pairs in the same order and the same matrices cell for cell.
+inverted index over interned token ids and verify the candidates with one
+batch keep-mask; feature extraction scores interned columns one feature
+at a time. These functions keep the straightforward shapes those replaced
+— ``frozenset[str]`` token sets, a per-candidate verification loop, and a
+row-dict loop over every pair and feature — so the parity tests and the
+full-scale runtime bench (``benchmarks/bench_runtime_parallel.py``, serial
+despite its historical name) can assert that both produce the same pairs
+in the same order and the same matrices cell for cell.
 
 Two facts of the production path the references mirror on purpose:
 
-* the coefficient blocker probes each record's tokens in the iteration
-  order of its token set, and equal cells of one column share one set
-  (so a cell probes in the order of the first equal cell);
+* the coefficient blocker probes each record's unique tokens in the
+  order the tokenizer first emits them (``dict.fromkeys(tokenizer(text))``),
+  a function of the cell text alone;
 * a size cap removes oversized tokens from the probe side only, after
   the overlap prefix is cut.
 """
@@ -34,14 +35,9 @@ from repro.text.normalize import normalize_title
 from repro.text.tokenizers import whitespace
 
 
-def tokens_by_id(table, attr, key_col, tokenizer, normalizer=None) -> dict[Any, frozenset]:
-    """``{record id: token set}`` for non-missing, non-empty cells.
-
-    Equal token sets share the first such set object, as the production
-    token cache shares one interned entry between equal cells.
-    """
-    shared: dict[frozenset, frozenset] = {}
-    out: dict[Any, frozenset] = {}
+def texts_by_id(table, attr, key_col, normalizer=None) -> dict[Any, str]:
+    """``{record id: str(normalized cell)}`` for non-missing cells."""
+    out: dict[Any, str] = {}
     for rid, value in zip(table[key_col], table[attr]):
         if is_missing(value):
             continue
@@ -49,9 +45,17 @@ def tokens_by_id(table, attr, key_col, tokenizer, normalizer=None) -> dict[Any, 
             value = normalizer(value)
             if is_missing(value):
                 continue
-        tokens = frozenset(tokenizer(str(value)))
+        out[rid] = str(value)
+    return out
+
+
+def tokens_by_id(table, attr, key_col, tokenizer, normalizer=None) -> dict[Any, frozenset]:
+    """``{record id: token set}`` for non-missing, non-empty cells."""
+    out: dict[Any, frozenset] = {}
+    for rid, text in texts_by_id(table, attr, key_col, normalizer).items():
+        tokens = frozenset(tokenizer(text))
         if tokens:
-            out[rid] = shared.setdefault(tokens, tokens)
+            out[rid] = tokens
     return out
 
 
@@ -82,8 +86,8 @@ def probe_overlap_chunk(l_items, r_tokens, index, order, k, capped=frozenset()):
 def probe_coefficient_chunk(l_items, r_tokens, index, threshold):
     """Whole-set probe + size-aware count bound + coefficient check.
 
-    ``l_items`` carries ``(lid, probe, tokens)`` with *probe* the token
-    list in the set's iteration order.
+    ``l_items`` carries ``(lid, probe, tokens)`` with *probe* the unique
+    tokens in first-emission order.
     """
     pairs = []
     for lid, probe, tokens in l_items:
@@ -122,8 +126,13 @@ def block_pairs(blocker, ltable, rtable, l_key, r_key) -> list[tuple[Any, Any]]:
             list(l_tokens.items()), r_tokens, index, order, blocker.threshold, capped
         )
     if isinstance(blocker, OverlapCoefficientBlocker):
+        texts = texts_by_id(ltable, blocker.l_attr, l_key, blocker.normalizer)
         l_items = [
-            (lid, [t for t in tokens if t not in capped], tokens)
+            (
+                lid,
+                [t for t in dict.fromkeys(blocker.tokenizer(texts[lid])) if t not in capped],
+                tokens,
+            )
             for lid, tokens in l_tokens.items()
         ]
         return probe_coefficient_chunk(l_items, r_tokens, index, blocker.threshold)

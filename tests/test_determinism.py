@@ -2,15 +2,17 @@
 
 The artifact store assumes every cacheable stage is a pure function of its
 fingerprinted inputs. That only holds if the seeded primitives underneath
-— down-sampling, forest training, cross-validation — are bit-identical
-across *fresh processes* (not merely within one process, where dict order
-and interning can mask nondeterminism). Each scriptlet below runs twice in
-subprocesses with different ``PYTHONHASHSEED`` values and must print the
-same SHA-256 digest both times.
+— down-sampling, forest training, cross-validation, and the Figure-10
+blocking plan — are bit-identical across *fresh processes* (not merely
+within one process, where dict order and interning can mask
+nondeterminism). Each scriptlet below runs twice in subprocesses with
+different ``PYTHONHASHSEED`` values and must print the same output both
+times.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -79,6 +81,46 @@ emit({
 })
 """
 
+#: The full-scale Figure-10 blocking plan under a store: each blocker's
+#: pairs in order, their union, and a digest of every file the store
+#: writes. Full scale on purpose: the coefficient blocker's string-hash
+#: probe order once swapped 4 of its 1,340 pairs here, and no smaller
+#: scenario showed it.
+FIGURE10_BLOCKING = PREAMBLE + """
+import tempfile
+from pathlib import Path
+
+from repro.casestudy.blocking_plan import run_blocking
+from repro.casestudy.preprocess import preprocess
+from repro.datasets import ScenarioConfig, generate_scenario
+from repro.runtime import EngineSession
+from repro.store import ArtifactStore
+
+tables = preprocess(
+    generate_scenario(ScenarioConfig(seed=45)), include_project_number=False
+)
+with tempfile.TemporaryDirectory() as root:
+    with EngineSession(store=ArtifactStore(root)) as session:
+        outcome = run_blocking(tables, session=session)
+    files = {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path(root).rglob("*"))
+        if path.is_file()
+    }
+pairs = {
+    name: [list(pair) for pair in getattr(outcome, name).pairs]
+    for name in ("c1", "c2", "c3", "candidates")
+}
+print(json.dumps({
+    "sizes": {name: len(p) for name, p in pairs.items()},
+    "pairs": {
+        name: hashlib.sha256(json.dumps(p).encode()).hexdigest()
+        for name, p in pairs.items()
+    },
+    "files": files,
+}, sort_keys=True))
+"""
+
 
 def run_fresh(script: str, hash_seed: str) -> str:
     env = dict(os.environ)
@@ -110,3 +152,22 @@ def test_bit_identical_across_processes(name, script):
     second = run_fresh(script, hash_seed="1")
     assert first == second, f"{name} is not deterministic across processes"
     assert len(first) == 64  # a single sha256 line, no stray output
+
+
+def test_figure10_blocking_identical_across_processes():
+    # C1, C2, C3 and their union, pair for pair in order, and every store
+    # file byte for byte, under two hash seeds
+    first = json.loads(run_fresh(FIGURE10_BLOCKING, hash_seed="0"))
+    second = json.loads(run_fresh(FIGURE10_BLOCKING, hash_seed="1"))
+    assert first["sizes"] == {"c1": 230, "c2": 3111, "c3": 1340, "candidates": 3154}
+    assert second["sizes"] == first["sizes"]
+    for name in ("c1", "c2", "c3", "candidates"):
+        assert first["pairs"][name] == second["pairs"][name], (
+            f"{name} pair order differs across processes"
+        )
+    assert first["files"], "the store wrote no files"
+    assert sorted(first["files"]) == sorted(second["files"])
+    differing = [
+        path for path in first["files"] if first["files"][path] != second["files"][path]
+    ]
+    assert not differing, f"store files differ across processes: {differing}"

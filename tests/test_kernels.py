@@ -1,22 +1,18 @@
-"""Parity tests for the interned-id and batch-columnar kernels.
+"""Parity tests for the batch-columnar kernels.
 
-Three layers, matching the guarantees the kernels make:
+Two layers, matching the guarantees the kernels make:
 
-* **Kernel parity** (property-based): every kernel in
-  :mod:`repro.similarity.kernels` returns *bit-identical* values to its
-  string/set reference on randomized unicode token multisets — including
-  empty sets, single tokens, and any interning order (results must depend
-  on id consistency, never on id values).
-* **Batch parity** (property-based): every ``*_batch`` kernel in
-  :mod:`repro.similarity.batch` matches its string reference *and* its
-  per-pair kernel element for element — under duplicate rows, permuted
-  chunk order, re-sliced chunk boundaries, and missing (``None``) rows
-  mapping to NaN.
+* **Batch parity** (property-based): every kernel in
+  :mod:`repro.similarity.batch` matches its string reference element for
+  element, bit for bit, on randomized unicode token sets — under
+  duplicate rows, permuted and re-sliced columns, missing (``None``)
+  rows mapping to NaN, empty sets, and any interning order (results must
+  depend on id consistency, never on id values).
 * **End-to-end bit-identity**: the small-scenario blocking plan and
   feature extraction produce the same candidate pairs (pair for pair, in
   order) and the same feature matrix (cell for cell) as the string
   references in ``tests/blocking_reference.py`` — including empty
-  candidate sets, single-pair chunks, and records with empty token sets.
+  candidate sets, single-pair columns, and records with empty token sets.
 """
 
 import math
@@ -36,15 +32,9 @@ from repro.features.vectors import (
 from repro.runtime import EngineSession
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import PairScoreTable, TokenCache
-from repro.runtime.columnar import TokenColumn, gather_column
-from repro.similarity import batch, kernels
+from repro.similarity import batch
 from repro.similarity.hybrid import monge_elkan
-from repro.similarity.sequence import (
-    jaro,
-    jaro_winkler,
-    levenshtein_distance,
-    levenshtein_similarity,
-)
+from repro.similarity.sequence import jaro, jaro_winkler, levenshtein_similarity
 from repro.similarity.set_based import (
     cosine_set,
     dice,
@@ -52,7 +42,7 @@ from repro.similarity.set_based import (
     overlap_coefficient,
     overlap_size,
 )
-from repro.text.intern import Vocabulary, id_array
+from repro.text.intern import Vocabulary
 from repro.text.tokenizers import whitespace
 
 from .blocking_reference import block_pairs, debug_blocker_top, extract_rows
@@ -65,113 +55,100 @@ token_sets = st.frozensets(token, max_size=12)
 token_bags = st.lists(token, max_size=10)
 
 
-def interned(vocab: Vocabulary, tokens: frozenset, seed: int):
-    """Sorted unique id array + id frozenset, interned in a random order."""
+def interned(vocab: Vocabulary, tokens: frozenset, seed: int) -> frozenset:
+    """The id frozenset of *tokens*, interned in a random order."""
     shuffled = sorted(tokens)
     random.Random(seed).shuffle(shuffled)
-    ids = [vocab.intern(t) for t in shuffled]
-    return id_array(sorted(ids)), frozenset(ids)
+    return frozenset(vocab.intern(t) for t in shuffled)
 
 
-SET_PARITY_CASES = [
-    (jaccard, kernels.jaccard_id_sets),
-    (dice, kernels.dice_id_sets),
-    (cosine_set, kernels.cosine_id_sets),
-    (overlap_coefficient, kernels.overlap_coefficient_id_sets),
-    (overlap_size, kernels.overlap_size_id_sets),
-]
-
-
-class TestSetKernelParity:
-    @settings(max_examples=200, deadline=None)
-    @given(token_sets, token_sets, st.integers(0, 2**31))
-    def test_measures_bit_identical(self, a, b, seed):
-        # One shared vocabulary, randomized interning order: parity must
-        # hold for any id assignment, shared ids included.
-        vocab = Vocabulary()
-        _, sa = interned(vocab, a, seed)
-        _, sb = interned(vocab, b, seed + 1)
-        for reference, kernel in SET_PARITY_CASES:
-            assert kernel(sa, sb) == reference(a, b), kernel.__name__
-        assert kernels.intersect_count(sa, sb) == overlap_size(a, b)
-
-    @settings(max_examples=200, deadline=None)
-    @given(token_sets, token_sets, st.integers(0, 5), st.integers(0, 2**31))
-    def test_bounded_variants(self, a, b, k, seed):
-        vocab = Vocabulary()
-        _, sa = interned(vocab, a, seed)
-        _, sb = interned(vocab, b, seed + 1)
-        exact = len(a & b)
-        assert kernels.intersect_count(sa, sb) == exact
-        assert kernels.overlap_at_least(sa, sb, k) == (exact >= k)
-
-    @settings(max_examples=150, deadline=None)
-    @given(token_sets, token_sets, st.integers(0, 2**31), st.integers(0, 2**31))
-    def test_vocabulary_permutation_invariance(self, a, b, seed1, seed2):
-        # Two vocabularies interning in different orders assign different
-        # ids; every kernel value must be unchanged.
-        v1, v2 = Vocabulary(), Vocabulary()
-        _, sa1 = interned(v1, a, seed1)
-        _, sb1 = interned(v1, b, seed1 + 1)
-        _, sa2 = interned(v2, a, seed2)
-        _, sb2 = interned(v2, b, seed2 + 1)
-        for _, kernel in SET_PARITY_CASES:
-            assert kernel(sa1, sb1) == kernel(sa2, sb2), kernel.__name__
-
-    def test_edge_cases(self):
-        empty, single = frozenset(), frozenset({1})
-        assert kernels.jaccard_id_sets(empty, empty) == jaccard(frozenset(), frozenset()) == 1.0
-        assert kernels.dice_id_sets(empty, single) == dice(frozenset(), frozenset("x")) == 0.0
-        assert kernels.cosine_id_sets(single, empty) == 0.0
-        assert kernels.overlap_coefficient_id_sets(empty, empty) == 1.0
-        assert kernels.overlap_size_id_sets(single, single) == 1
-        assert kernels.overlap_at_least(empty, single, 0) is True
-        assert kernels.overlap_at_least(empty, single, 1) is False
-
-
-#: (string reference, per-pair id-frozenset kernel, batch kernel)
+#: (string reference, batch kernel)
 BATCH_PARITY_CASES = [
-    (jaccard, kernels.jaccard_id_sets, batch.jaccard_batch),
-    (dice, kernels.dice_id_sets, batch.dice_batch),
-    (cosine_set, kernels.cosine_id_sets, batch.cosine_batch),
-    (
-        overlap_coefficient,
-        kernels.overlap_coefficient_id_sets,
-        batch.overlap_coefficient_batch,
-    ),
-    (overlap_size, kernels.overlap_size_id_sets, batch.overlap_size_batch),
+    (jaccard, batch.jaccard_batch),
+    (dice, batch.dice_batch),
+    (cosine_set, batch.cosine_batch),
+    (overlap_coefficient, batch.overlap_coefficient_batch),
 ]
 
 row_pairs = st.lists(st.tuples(token_sets, token_sets), max_size=8)
 
 
 def _interned_rows(rows, seed):
-    """Parallel (string pairs, id-frozenset pairs) under one vocabulary."""
+    """Aligned id-frozenset columns of *rows* under one vocabulary."""
     vocab = Vocabulary()
     sa_col, sb_col = [], []
     for i, (a, b) in enumerate(rows):
-        _, sa = interned(vocab, a, seed + 2 * i)
-        _, sb = interned(vocab, b, seed + 2 * i + 1)
-        sa_col.append(sa)
-        sb_col.append(sb)
+        sa_col.append(interned(vocab, a, seed + 2 * i))
+        sb_col.append(interned(vocab, b, seed + 2 * i + 1))
     return sa_col, sb_col
+
+
+class TestSetKernelParity:
+    """Each set kernel, one pair at a time, against its string reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(token_sets, token_sets, st.integers(0, 2**31))
+    def test_measures_bit_identical(self, a, b, seed):
+        # One shared vocabulary, randomized interning order: parity must
+        # hold for any id assignment, shared ids included.
+        (sa,), (sb,) = _interned_rows([(a, b)], seed)
+        for reference, batch_kernel in BATCH_PARITY_CASES:
+            assert batch_kernel([sa], [sb])[0] == reference(a, b), batch_kernel.__name__
+        shared = overlap_size(a, b)
+        assert batch.overlap_at_least_batch([sa], [sb], shared)[0] == 1
+        assert batch.overlap_at_least_batch([sa], [sb], shared + 1)[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(token_sets, token_sets, st.integers(0, 5), st.integers(0, 2**31))
+    def test_bounded_variants(self, a, b, k, seed):
+        (sa,), (sb,) = _interned_rows([(a, b)], seed)
+        keep = batch.overlap_at_least_batch([sa], [sb], k)[0]
+        assert bool(keep) == (overlap_size(a, b) >= k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(row_pairs, st.integers(0, 2**31), st.integers(0, 2**31))
+    def test_vocabulary_permutation_invariance(self, rows, seed1, seed2):
+        # Two vocabularies interning in different orders assign different
+        # ids; every score must equal the string reference under both.
+        first = _interned_rows(rows, seed1)
+        second = _interned_rows(rows, seed2)
+        for reference, batch_kernel in BATCH_PARITY_CASES:
+            expected = [reference(a, b) for a, b in rows]
+            assert list(batch_kernel(*first)) == expected, batch_kernel.__name__
+            assert list(batch_kernel(*second)) == expected, batch_kernel.__name__
+
+    def test_edge_cases(self):
+        # both-empty, one-empty and single-token rows, against the string
+        # references on the same token sets
+        rows = [
+            (frozenset(), frozenset()),
+            (frozenset(), frozenset("x")),
+            (frozenset("x"), frozenset()),
+            (frozenset("x"), frozenset("x")),
+        ]
+        sa_col, sb_col = _interned_rows(rows, 0)
+        for reference, batch_kernel in BATCH_PARITY_CASES:
+            got = list(batch_kernel(sa_col, sb_col))
+            assert got == [reference(a, b) for a, b in rows], batch_kernel.__name__
+        assert list(batch.jaccard_batch(sa_col, sb_col)) == [1.0, 0.0, 0.0, 1.0]
+        # the keep-mask's k <= 0 short-circuit and k == 1 isdisjoint path
+        assert list(batch.overlap_at_least_batch(sa_col, sb_col, 0)) == [1, 1, 1, 1]
+        assert list(batch.overlap_at_least_batch(sa_col, sb_col, 1)) == [0, 0, 0, 1]
 
 
 class TestBatchKernelParity:
     @settings(max_examples=100, deadline=None)
     @given(row_pairs, st.integers(0, 2**31))
     def test_bit_identical_to_reference_and_per_pair(self, rows, seed):
-        # Duplicate the chunk: identical rows must score identically and
-        # independently of their position.
+        # Duplicate the column: identical rows must score identically and
+        # independently of their position, alone or in a column.
         rows = rows + rows
         sa_col, sb_col = _interned_rows(rows, seed)
-        col_a = TokenColumn.from_sets(sa_col)
-        col_b = TokenColumn.from_sets(sb_col)
-        for reference, per_pair, batch_kernel in BATCH_PARITY_CASES:
-            got = list(batch_kernel(col_a, col_b))
+        for reference, batch_kernel in BATCH_PARITY_CASES:
+            got = list(batch_kernel(sa_col, sb_col))
             assert got == [reference(a, b) for a, b in rows], batch_kernel.__name__
             assert got == [
-                per_pair(sa, sb) for sa, sb in zip(sa_col, sb_col)
+                batch_kernel([sa], [sb])[0] for sa, sb in zip(sa_col, sb_col)
             ], batch_kernel.__name__
 
     @settings(max_examples=75, deadline=None)
@@ -180,13 +157,10 @@ class TestBatchKernelParity:
         sa_col, sb_col = _interned_rows(rows, seed)
         perm = list(range(len(rows)))
         random.Random(seed).shuffle(perm)
-        for _, _, batch_kernel in BATCH_PARITY_CASES:
-            base = list(batch_kernel(
-                TokenColumn.from_sets(sa_col), TokenColumn.from_sets(sb_col)
-            ))
+        for _, batch_kernel in BATCH_PARITY_CASES:
+            base = list(batch_kernel(sa_col, sb_col))
             permuted = list(batch_kernel(
-                TokenColumn.from_sets(sa_col[i] for i in perm),
-                TokenColumn.from_sets(sb_col[i] for i in perm),
+                [sa_col[i] for i in perm], [sb_col[i] for i in perm]
             ))
             assert permuted == [base[i] for i in perm], batch_kernel.__name__
 
@@ -194,45 +168,36 @@ class TestBatchKernelParity:
     @given(row_pairs, st.integers(0, 2**31), st.data())
     def test_chunk_boundaries_are_invisible(self, rows, seed, data):
         # Scoring slices [0, cut) and [cut, n) — including the empty and
-        # single-row slices — concatenates to scoring the whole chunk.
+        # single-row slices — concatenates to scoring the whole column.
         sa_col, sb_col = _interned_rows(rows, seed)
-        col_a = TokenColumn.from_sets(sa_col)
-        col_b = TokenColumn.from_sets(sb_col)
         cut = data.draw(st.integers(0, len(rows)), label="cut")
-        for _, _, batch_kernel in BATCH_PARITY_CASES:
-            whole = list(batch_kernel(col_a, col_b))
+        for _, batch_kernel in BATCH_PARITY_CASES:
+            whole = list(batch_kernel(sa_col, sb_col))
             parts = []
             for start, stop in ((0, cut), (cut, len(rows))):
-                parts.extend(batch_kernel(
-                    TokenColumn.from_sets(sa_col[start:stop]),
-                    TokenColumn.from_sets(sb_col[start:stop]),
-                ))
+                parts.extend(batch_kernel(sa_col[start:stop], sb_col[start:stop]))
             assert parts == whole, batch_kernel.__name__
 
     def test_missing_rows_score_nan(self):
-        col_a = TokenColumn.from_sets([frozenset({1, 2}), None, frozenset()])
-        col_b = TokenColumn.from_sets([None, frozenset({1}), frozenset()])
-        for _, _, batch_kernel in BATCH_PARITY_CASES:
+        col_a = [frozenset({1, 2}), None, frozenset()]
+        col_b = [None, frozenset({1}), frozenset()]
+        for _, batch_kernel in BATCH_PARITY_CASES:
             got = list(batch_kernel(col_a, col_b))
             assert math.isnan(got[0]) and math.isnan(got[1]), batch_kernel.__name__
         # both-empty rows score by the references, not NaN
         assert batch.jaccard_batch(col_a, col_b)[2] == 1.0
-        assert batch.overlap_size_batch(col_a, col_b)[2] == 0.0
 
     def test_empty_chunk_scores_to_empty_array(self):
-        col = TokenColumn.from_sets([])
-        for _, _, batch_kernel in BATCH_PARITY_CASES:
-            out = batch_kernel(col, col)
+        for _, batch_kernel in BATCH_PARITY_CASES:
+            out = batch_kernel([], [])
             assert len(out) == 0 and out.typecode == "d", batch_kernel.__name__
 
     def test_mismatched_column_lengths_rejected(self):
         with pytest.raises(ValueError):
-            batch.jaccard_batch(
-                TokenColumn.from_sets([frozenset()]), TokenColumn.from_sets([])
-            )
+            batch.jaccard_batch([frozenset()], [])
 
     def test_score_batch_dispatches_and_rejects_unknown(self):
-        col = TokenColumn.from_sets([frozenset({1}), frozenset({1, 2})])
+        col = [frozenset({1}), frozenset({1, 2})]
         assert list(batch.score_batch("jac", col, col)) == [1.0, 1.0]
         with pytest.raises(KeyError):
             batch.score_batch("no_such_measure", col, col)
@@ -243,13 +208,8 @@ class TestBatchKeepMasks:
     @given(row_pairs, st.integers(0, 4), st.integers(0, 2**31))
     def test_overlap_mask_matches_per_pair_predicate(self, rows, k, seed):
         sa_col, sb_col = _interned_rows(rows, seed)
-        mask = batch.overlap_at_least_batch(
-            TokenColumn.from_sets(sa_col), TokenColumn.from_sets(sb_col), k
-        )
-        assert [bool(bit) for bit in mask] == [
-            kernels.overlap_at_least(sa, sb, k)
-            for sa, sb in zip(sa_col, sb_col)
-        ]
+        mask = batch.overlap_at_least_batch(sa_col, sb_col, k)
+        assert [bool(bit) for bit in mask] == [len(a & b) >= k for a, b in rows]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -262,9 +222,7 @@ class TestBatchKeepMasks:
         # blocker performs per candidate: size-aware count bound, then
         # the coefficient itself.
         sa_col, sb_col = _interned_rows(rows, seed)
-        mask = batch.overlap_coefficient_at_least_batch(
-            TokenColumn.from_sets(sa_col), TokenColumn.from_sets(sb_col), t
-        )
+        mask = batch.overlap_coefficient_at_least_batch(sa_col, sb_col, t)
         expected = []
         for a, b in rows:
             needed = math.ceil(t * min(len(a), len(b)) - 1e-9)
@@ -275,65 +233,14 @@ class TestBatchKeepMasks:
         assert [bool(bit) for bit in mask] == expected
 
     def test_coefficient_mask_empty_sets(self):
-        col_a = TokenColumn.from_sets([frozenset(), frozenset(), frozenset({1})])
-        col_b = TokenColumn.from_sets([frozenset(), frozenset({1}), frozenset()])
+        col_a = [frozenset(), frozenset(), frozenset({1})]
+        col_b = [frozenset(), frozenset({1}), frozenset()]
         # both-empty has coefficient 1.0 (kept); one-empty 0.0 (dropped)
         assert list(batch.overlap_coefficient_at_least_batch(col_a, col_b, 0.7)) == [
             1,
             0,
             0,
         ]
-
-
-class TestLevenshteinBatch:
-    text = st.text(alphabet=TOKEN_ALPHABET + " ", max_size=12)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(text, text), max_size=8), st.integers(0, 6))
-    def test_equals_per_pair_and_clamped_reference(self, rows, k):
-        rows = rows + rows  # duplicates must not perturb the reused buffers
-        got = list(
-            batch.levenshtein_bounded_batch(
-                [a for a, _ in rows], [b for _, b in rows], k
-            )
-        )
-        assert got == [kernels.levenshtein_bounded(a, b, k) for a, b in rows]
-        assert got == [min(levenshtein_distance(a, b), k + 1) for a, b in rows]
-
-    def test_rejects_negative_bound_and_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            batch.levenshtein_bounded_batch(["a"], ["b"], -1)
-        with pytest.raises(ValueError):
-            batch.levenshtein_bounded_batch(["a"], [], 2)
-
-
-class TestTokenColumn:
-    def test_entries_back_the_cached_frozensets(self):
-        vocab = Vocabulary()
-        _, sa = interned(vocab, frozenset({"a", "b"}), 0)
-
-        class Entry:  # minimal InternedTokens stand-in
-            def __init__(self, ids):
-                self.ids = ids
-
-        entry = Entry(sa)
-        col = TokenColumn.from_entries([entry, None, entry])
-        assert len(col) == 3
-        sets = col.sets()
-        assert sets[0] is sa and sets[2] is sa  # zero-copy: same object
-        assert sets[1] is None
-
-    def test_gather_column_indexes_rows(self):
-        vocab = Vocabulary()
-        _, sa = interned(vocab, frozenset({"x"}), 0)
-
-        class Entry:
-            def __init__(self, ids):
-                self.ids = ids
-
-        column = (Entry(sa), None, Entry(sa))
-        gathered = gather_column(column, [2, 0, 1])
-        assert gathered.sets() == (sa, sa, None)
 
 
 def _bag_pairs(vocab, bags_a, bags_b):
@@ -478,21 +385,6 @@ class TestCharacterKernelParity:
     def test_empty_batch(self):
         for _, kernel in CHARACTER_CASES:
             assert kernel([], []).shape == (0,)
-
-
-class TestLevenshteinBounded:
-    text = st.text(alphabet=TOKEN_ALPHABET + " ", max_size=12)
-
-    @settings(max_examples=250, deadline=None)
-    @given(text, text, st.integers(0, 6))
-    def test_equals_clamped_reference(self, a, b, k):
-        assert kernels.levenshtein_bounded(a, b, k) == min(
-            levenshtein_distance(a, b), k + 1
-        )
-
-    def test_rejects_negative_bound(self):
-        with pytest.raises(ValueError):
-            kernels.levenshtein_bounded("a", "b", -1)
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,27 @@ class TestHistogram:
         snap = h.snapshot()
         assert snap["count"] == 1 and snap["sum"] == 0.5
         assert snap["p50"] == snap["p95"] == 0.5
+
+    def test_snapshot_writes_only_filled_buckets(self):
+        h = Histogram("t", buckets=(1.0, 10.0, 100.0))
+        for value in (0.5, 0.7, 50.0, 500.0):
+            h.observe(value)
+        snap = h.snapshot()
+        # upper bounds of the non-empty buckets; None is the overflow
+        assert snap["buckets"] == [1.0, 100.0, None]
+        assert snap["counts"] == [2, 1, 1]
+        assert Histogram("e").snapshot()["buckets"] == []
+
+    def test_dense_manifest_snapshots_still_load(self):
+        # manifests written before sparse snapshots list every bound and
+        # one more count (the overflow); they load and diff unchanged
+        path = Path(__file__).resolve().parent.parent / (
+            "benchmarks/baselines/manifest_small.json"
+        )
+        manifest = RunManifest.load(path)
+        for snap in manifest.metrics["histograms"].values():
+            assert len(snap["counts"]) == len(snap["buckets"]) + 1
+        assert diff_manifests(manifest, manifest).counts_match
 
 
 class TestMetricsRegistry:

@@ -25,25 +25,62 @@ class TestTokenCache:
     def test_hit_and_miss_counting(self):
         cache = TokenCache()
         table = self.make_table()
-        first = cache.column_tokens(table, "t", whitespace, normalize_title)
-        second = cache.column_tokens(table, "t", whitespace, normalize_title)
+        first = cache.column_token_ids(table, "t", whitespace, normalize_title)
+        second = cache.column_token_ids(table, "t", whitespace, normalize_title)
         assert first is second
         assert cache.stats().hits == 1 and cache.stats().misses == 1
 
     def test_distinct_recipes_cached_separately(self):
         cache = TokenCache()
         table = self.make_table()
-        cache.column_tokens(table, "t", whitespace, normalize_title)
-        cache.column_tokens(table, "t", whitespace, None)
+        cache.column_token_ids(table, "t", whitespace, normalize_title)
+        cache.column_token_ids(table, "t", whitespace, None)
         assert cache.stats().misses == 2
 
     def test_missing_and_empty_cells(self):
         cache = TokenCache()
         table = self.make_table()
-        column = cache.column_tokens(table, "t", whitespace, normalize_title)
-        assert column[0] == frozenset({"corn", "fungicide"})
+        column = cache.column_token_ids(table, "t", whitespace, normalize_title)
+        decode = cache.vocabulary.decode
+        assert decode(column[0].bag) == ["corn", "fungicide"]
         assert column[1] is None  # missing cell
-        assert not column[2]  # whitespace-only -> no tokens
+        assert column[2] is not None and not column[2]  # whitespace-only
+        assert not column[2].bag and not column[2].ids
+
+    def test_probe_is_first_emission_order(self):
+        # The probe follows the tokenizer, not the vocabulary: "c" is
+        # interned before "a" and "b" here, yet probes last.
+        cache = TokenCache()
+        cache.vocabulary.intern("c")
+        table = Table({"id": [1], "t": ["b a b c"]}, name="T")
+        (entry,) = cache.column_token_ids(table, "t", whitespace)
+        decode = cache.vocabulary.decode
+        assert decode(entry.probe) == ["b", "a", "c"]
+        assert decode(entry.bag) == ["b", "a", "b", "c"]
+        assert entry.ids == frozenset(entry.probe) and len(entry) == 3
+
+    def test_equal_texts_share_one_entry(self):
+        cache = TokenCache()
+        table = Table(
+            {"id": [1, 2, 3], "t": ["corn blight", "corn blight", "blight corn"]},
+            name="T",
+        )
+        first, second, third = cache.column_token_ids(table, "t", whitespace)
+        assert first is second
+        # an equal token set from a different text keeps its own order
+        assert third is not first and third.ids == first.ids
+        assert list(third.probe) == list(reversed(first.probe))
+
+    def test_each_cell_tokenizes_by_its_own_str(self):
+        # 1, 1.0 and True hash alike but stringify differently
+        cache = TokenCache()
+        table = Table({"id": [1, 2, 3, 4], "t": [1, 1.0, True, "1"]}, name="T")
+        column = cache.column_token_ids(table, "t", whitespace)
+        decode = cache.vocabulary.decode
+        assert [decode(entry.bag) for entry in column] == [
+            ["1"], ["1.0"], ["True"], ["1"]
+        ]
+        assert column[0] is column[3]
 
     def test_tokens_by_id_drops_tokenless_rows(self):
         from tests.blocking_reference import tokens_by_id
@@ -61,10 +98,10 @@ class TestTokenCache:
     def test_clear(self):
         cache = TokenCache()
         table = self.make_table()
-        cache.column_tokens(table, "t", whitespace)
+        cache.column_token_ids(table, "t", whitespace)
         cache.clear()
-        assert cache.stats().requests == 0
-        cache.column_tokens(table, "t", whitespace)
+        assert cache.stats().requests == 0 and len(cache.vocabulary) == 0
+        cache.column_token_ids(table, "t", whitespace)
         assert cache.stats().misses == 1
 
 

@@ -3,18 +3,11 @@
 
 ``benchmarks/bench_kernels.py`` writes per-family speedups to
 ``benchmarks/out/kernels.json``. This guard re-reads that JSON after the
-bench runs and fails the perf-smoke job when
-
-* any family listed in :data:`repro.similarity.batch.DEPLOYED_FAMILIES`
-  reports a speedup < 1.0x vs the string references on either
-  case-study tokenization (ws, qgm_3) — for the character family, on
-  either input (AwardTitle words, date strings) — or
-* the batch family falls behind the per-pair id-frozenset family on
-  qgm_3 — the tokenization where the retired merge family regressed to
-  0.40-0.86x in the first place. Read from
-  ``batch_vs_set_qgm_3_median_ratio``, the median of the bench's
-  interleaved per-round ``set time / batch time`` ratios, which must be
-  ``>= 1.0`` (the family means are too close to compare directly).
+bench runs and fails the perf-smoke job when any family listed in
+:data:`repro.similarity.batch.DEPLOYED_FAMILIES` reports a speedup
+< 1.0x vs its references on either case-study tokenization (ws, qgm_3)
+— for the character family, on either input (AwardTitle words, date
+strings).
 
 The bench asserts the same gates while timing; the guard exists so the
 numbers in the *uploaded artifact* are what gets checked (a bench edit
@@ -40,9 +33,7 @@ TOKENIZATIONS = ("ws", "qgm_3")
 #: kernels.json keys holding each deployed family's speedup vs the
 #: string references; every listed key must be >= 1.0.
 FAMILY_KEYS = {
-    "set": [f"family_set_{tok}_speedup" for tok in TOKENIZATIONS],
     "batch": [f"family_batch_{tok}_speedup" for tok in TOKENIZATIONS],
-    "levenshtein": ["levenshtein_bounded_speedup", "levenshtein_batch_speedup"],
     "character": [
         f"character_{measure}_{inputs}_speedup"
         for measure in ("jaro", "jaro_winkler", "levenshtein_similarity")
@@ -74,15 +65,6 @@ def check(data: dict) -> list[str]:
                     f"deployed family {family!r} slower than string "
                     f"references: {key} = {value:.3f}x"
                 )
-    ratio = data.get("batch_vs_set_qgm_3_median_ratio")
-    if ratio is None:
-        problems.append("missing key 'batch_vs_set_qgm_3_median_ratio'")
-    elif ratio < 1.0:
-        problems.append(
-            f"batch family behind per-pair set kernels on qgm_3: median "
-            f"set/batch time ratio {ratio:.3f} "
-            f"(rounds {data.get('batch_vs_set_qgm_3_ratios')})"
-        )
     return problems
 
 
@@ -116,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         "check_kernel_families: OK — deployed families "
-        f"{list(DEPLOYED_FAMILIES)} all >= 1.0x, batch >= set on qgm_3"
+        f"{list(DEPLOYED_FAMILIES)} all >= 1.0x"
     )
     return 0
 
