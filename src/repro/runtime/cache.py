@@ -5,6 +5,10 @@ down-sampling and the blocking debugger tokenize them again, and the
 Section-9 features tokenize them once more. :class:`TokenCache` gives each
 ``(table, attr, tokenizer, normalizer)`` recipe one tokenization pass, so
 a column is tokenized once per recipe no matter how many stages ask.
+Equal columns share that pass: a recipe whose normalized texts equal,
+in order, those of a column the same tokenizer already turned into
+entries for a live table gets that column back (Section 10 hands the
+Figure-10 workflow the same USDA table twice, as two tables).
 
 That pass yields one :class:`InternedTokens` entry per distinct
 normalized text: its token bag, its unique probe order and its id set,
@@ -23,7 +27,10 @@ meaningful within the vocabulary that assigned them, so :meth:`TokenCache.clear`
 drops the table together with the vocabulary.
 
 Tables are held through a :class:`weakref.WeakKeyDictionary`, so cached
-columns die with their table. Caching assumes the idiom the
+columns die with their table; the map that finds equal columns holds
+them weakly too, so a column shared by several tables dies with the last
+of them, and a session that outlives its tables retains none of their
+texts or entries. Caching assumes the idiom the
 :class:`~repro.table.table.Table` engine documents — columns are not
 mutated in place (mutating methods return new tables) — a table whose
 cell lists are edited behind the cache's back must be :meth:`clear`-ed.
@@ -79,7 +86,13 @@ class InternedTokens:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss counts of a :class:`TokenCache` (column-level)."""
+    """Hit/miss counts of a :class:`TokenCache` (column-level).
+
+    A miss is one tokenization pass. A request the table already holds
+    is a hit, and so is one served by an equal column of another table or
+    recipe (same tokenizer, same normalized texts): nothing is tokenized
+    for it.
+    """
 
     hits: int
     misses: int
@@ -172,18 +185,32 @@ class PairScoreTable:
             self._tail = _empty()
 
 
+class _Column:
+    """One tokenized column, held by every table whose recipe it serves.
+
+    A tuple cannot be weakly referenced, so the session's sharing map
+    refers to this holder instead: the holder, and with it the map entry,
+    dies with the last table that holds it.
+    """
+
+    __slots__ = ("entries", "__weakref__")
+
+    def __init__(self, entries: tuple) -> None:
+        self.entries = entries
+
+
+class _ColumnRef(weakref.ref):
+    """A weak reference to a :class:`_Column` that knows its map key
+    (``weakref.KeyedRef`` without its Python-level constructor)."""
+
+    __slots__ = ("key",)
+
+
 class TokenCache:
     """Memo-cache of tokenized columns, shared across blockers."""
 
     def __init__(self) -> None:
-        self._tables: "weakref.WeakKeyDictionary[Table, dict]" = (
-            weakref.WeakKeyDictionary()
-        )
-        self.vocabulary = Vocabulary()
-        #: Jaro-Winkler per ordered pair of :attr:`vocabulary` ids.
-        self.jw_scores = PairScoreTable()
-        self.hits = 0
-        self.misses = 0
+        self.clear()
 
     def column_token_ids(
         self,
@@ -199,28 +226,51 @@ class TokenCache:
         :class:`InternedTokens` entry otherwise. Each distinct text
         ``str(normalizer(cell))`` is tokenized once, and rows with equal
         texts share one entry object, so identity-keyed memo tables
-        collapse repeated cells.
+        collapse repeated cells. A column whose texts equal those of a
+        column already tokenized by *tokenizer*, for any live table, is
+        that column: same tuple, same entries, counted as a hit.
         """
         per_table = self._tables.setdefault(table, {})
-        key = (attr, tokenizer, normalizer)
-        cached = per_table.get(key)
-        if cached is not None:
+        recipe = (attr, tokenizer, normalizer)
+        held = per_table.get(recipe)
+        if held is not None:
             self.hits += 1
-            return cached
-        self.misses += 1
-        intern_all = self.vocabulary.intern_all
-        by_text: dict[str, InternedTokens] = {}
-        out: list[InternedTokens | None] = []
+            return held.entries
+        texts: list[str | None] = []
         for value in table[attr]:
             if is_missing(value):
-                out.append(None)
+                texts.append(None)
                 continue
             if normalizer is not None:
                 value = normalizer(value)
                 if is_missing(value):
-                    out.append(None)
+                    texts.append(None)
                     continue
-            text = str(value)
+            texts.append(str(value))
+        key = (tokenizer, tuple(texts))
+        ref = self._shared.get(key)
+        held = ref() if ref is not None else None
+        if held is None:
+            self.misses += 1
+            held = _Column(self._tokenize(texts, tokenizer))
+            ref = self._shared[key] = _ColumnRef(held, self._forget)
+            ref.key = key
+        else:
+            self.hits += 1
+        per_table[recipe] = held
+        return held.entries
+
+    def _tokenize(
+        self, texts: list[str | None], tokenizer: Tokenizer
+    ) -> tuple["InternedTokens | None", ...]:
+        """One pass: each distinct text tokenized and interned once."""
+        intern_all = self.vocabulary.intern_all
+        by_text: dict[str, InternedTokens] = {}
+        out: list[InternedTokens | None] = []
+        for text in texts:
+            if text is None:
+                out.append(None)
+                continue
             entry = by_text.get(text)
             if entry is None:
                 bag = intern_all(tokenizer(text))
@@ -228,9 +278,7 @@ class TokenCache:
                     bag, id_array(dict.fromkeys(bag)), frozenset(bag)
                 )
             out.append(entry)
-        column = tuple(out)
-        per_table[key] = column
-        return column
+        return tuple(out)
 
     def token_ids_by_id(
         self,
@@ -257,9 +305,22 @@ class TokenCache:
         return CacheStats(hits=self.hits, misses=self.misses)
 
     def clear(self) -> None:
-        self._tables = weakref.WeakKeyDictionary()
+        self._tables: "weakref.WeakKeyDictionary[Table, dict]" = (
+            weakref.WeakKeyDictionary()
+        )
+        #: ``(tokenizer, texts)`` -> weak ref to the :class:`_Column` that
+        #: tokenized them; an entry leaves when its column dies.
+        shared: "dict[tuple, _ColumnRef]" = {}
+        self._shared = shared
+
+        def forget(ref: _ColumnRef) -> None:
+            if shared.get(ref.key) is ref:
+                del shared[ref.key]
+
+        self._forget = forget
         self.vocabulary = Vocabulary()
-        # keyed by ids of the vocabulary just dropped
+        #: Jaro-Winkler per ordered pair of :attr:`vocabulary` ids; it is
+        #: dropped with the vocabulary whose ids key it.
         self.jw_scores = PairScoreTable()
         self.hits = 0
         self.misses = 0

@@ -30,6 +30,21 @@ class TestTokenCache:
         assert first is second
         assert cache.stats().hits == 1 and cache.stats().misses == 1
 
+    def test_equal_column_of_another_table_is_a_hit(self):
+        # a miss is one tokenization pass: an equal column of another
+        # table (or another recipe with equal texts) is served as a hit
+        cache = TokenCache()
+        table = self.make_table()
+        first = cache.column_token_ids(table, "t", whitespace)
+        other = Table({"key": [7, 8, 9], "u": ["Corn Fungicide", None, "   "]})
+        assert cache.column_token_ids(other, "u", whitespace) is first
+        assert cache.column_token_ids(other, "u", whitespace, str) is first
+        assert cache.stats().hits == 2 and cache.stats().misses == 1
+        vocabulary = len(cache.vocabulary)
+        cache.column_token_ids(other, "u", whitespace, normalize_title)
+        assert cache.stats().misses == 2
+        assert len(cache.vocabulary) == vocabulary + 2  # "corn", "fungicide"
+
     def test_distinct_recipes_cached_separately(self):
         cache = TokenCache()
         table = self.make_table()

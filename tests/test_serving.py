@@ -5,11 +5,14 @@ with the batch workflow, patch/delete bookkeeping (retired pairs),
 ``match()`` ranking and lineage, typed configuration errors, the
 mid-patch fault regression (a raising matcher must leave the posting
 indexes uncommitted, the session pool alive and the trace well-formed —
-mirroring ``tests/test_session.py``), and a hypothesis stateful machine
-driving the service end to end against a rebuilt-from-scratch reference.
+mirroring ``tests/test_session.py``), a hypothesis stateful machine
+driving the service end to end against a rebuilt-from-scratch reference,
+and what a long-lived service's token cache retains.
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,11 +25,14 @@ from repro.blocking import (
     OverlapCoefficientBlocker,
     RuleBasedBlocker,
 )
+from repro.casestudy.workflows import train_workflow_matcher
 from repro.core import EMWorkflow
 from repro.errors import IncrementalBlockingError, ServingError
 from repro.matchers import MLMatcher
 from repro.ml import DecisionTreeClassifier
 from repro.obs.trace import load_trace
+from repro.plan import figure10_spec
+from repro.runtime import TokenCache
 from repro.runtime.context import EngineSession, current_session
 from repro.serving import MatchService
 from repro.table import Table
@@ -417,3 +423,41 @@ class TestReadPathAgainstWritePath:
         assert validated and not any(validated)
         assert keyed and not any(keyed)
         assert indexed == []
+
+
+def test_token_sharing_map_holds_only_live_tables_columns(case_study):
+    """A bootstrapped service and a pass of ``match()`` reads leave the
+    token cache's equal-column map holding only columns of live tables:
+    the bootstrap tables and every one-row probe table release theirs."""
+    run = case_study
+    tables, extra = run.projected_v2, run.projected_extra
+    with EngineSession(token_cache=TokenCache()) as session:
+        matcher = train_workflow_matcher(
+            run.blocking_v2.candidates, run.labeling.labels,
+            run.matching.feature_set, run.matching.matcher, session=session,
+        )
+        service = MatchService.from_plan(
+            figure10_spec(), tables.umetrics, tables.usda,
+            tables.l_key, tables.r_key, matcher=matcher,
+            feature_set=run.matching.feature_set, session=session,
+        )
+        cache = session.token_cache
+
+        def shared_columns():
+            gc.collect()
+            columns = [ref() for ref in cache._shared.values()]
+            assert None not in columns
+            held = {
+                id(column)
+                for per_table in cache._tables.values()
+                for column in per_table.values()
+            }
+            assert {id(column) for column in columns} == held
+            return len(columns)
+
+        bootstrapped = shared_columns()
+        misses = cache.misses
+        for i in range(len(extra.umetrics)):
+            service.match(extra.umetrics.row(i))
+        assert cache.misses > misses  # the probes did tokenize
+        assert shared_columns() == bootstrapped
