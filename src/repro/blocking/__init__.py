@@ -11,12 +11,7 @@ from .combiner import (
     union_candidates,
 )
 from .debugger import MissedPairReport, debug_blocker
-from .incremental import (
-    AttrEquivalenceIncremental,
-    IncrementalBlocking,
-    PendingUpsert,
-    PostingIndex,
-)
+from .incremental import IncrementalBlocking
 from .dedupe import canonical_records, dedupe_candidates, duplicate_clusters
 from .down_sample import down_sample
 from .factory import (
@@ -36,7 +31,6 @@ from .sorted_neighborhood import SortedNeighborhoodBlocker
 
 __all__ = [
     "AttrEquivalenceBlocker",
-    "AttrEquivalenceIncremental",
     "BLOCKER_REGISTRY",
     "BlackBoxBlocker",
     "Blocker",
@@ -49,8 +43,6 @@ __all__ = [
     "OverlapCoefficientBlocker",
     "OverlapReport",
     "Pair",
-    "PendingUpsert",
-    "PostingIndex",
     "RuleBasedBlocker",
     "ShardedOverlapBlocker",
     "ShardedOverlapCoefficientBlocker",

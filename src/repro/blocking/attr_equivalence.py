@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from ..errors import IncrementalBlockingError
 from ..runtime.context import EngineSession
 from ..runtime.instrument import count
 from ..table import Table
 from ..table.column import is_missing
 from .base import Blocker
-from .candidate_set import CandidateSet
+from .candidate_set import CandidateSet, Pair
 from .policy import BlockSizePolicy, capped_keys, resolve_policy
 
 Preprocess = Callable[[Any], Any]
@@ -54,29 +53,41 @@ class AttrEquivalenceBlocker(Blocker):
         self.r_preprocess = r_preprocess
         self.block_size_policy = resolve_policy(block_size_policy)
 
-    def incremental(
-        self,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-        *,
-        session: EngineSession | None = None,
-    ) -> "Any":
-        """Delta-maintained handle; see :mod:`repro.blocking.incremental`."""
-        if self.block_size_policy.capped:
-            raise IncrementalBlockingError(
-                "incremental blocking does not support block-size caps; "
-                "use an uncapped blocker for delta handles"
-            )
-        from .incremental import AttrEquivalenceIncremental
-
-        return AttrEquivalenceIncremental(self, rtable, l_key, r_key, session=session)
-
-    def _values(self, table: Table, attr: str, preprocess: Preprocess | None):
+    def _records(
+        self, session: EngineSession, table: Table, key: str, *, left: bool
+    ) -> list[tuple[Any, Any]]:
+        """``(id, preprocessed value)`` per row whose value is not missing,
+        in row order."""
+        attr, preprocess = (
+            (self.l_attr, self.l_preprocess) if left else (self.r_attr, self.r_preprocess)
+        )
         values = table[attr]
         if preprocess is not None:
             values = [None if is_missing(v) else preprocess(v) for v in values]
-        return values
+        return [(rid, v) for rid, v in zip(table[key], values) if not is_missing(v)]
+
+    def _right_index(self, r_records: list[tuple[Any, Any]]) -> dict[Any, list[Any]]:
+        """The equi-join hash index: value -> rids in right-row order."""
+        index: dict[Any, list[Any]] = {}
+        for rid, value in r_records:
+            index.setdefault(value, []).append(rid)
+        return index
+
+    def _probe(
+        self,
+        session: EngineSession,
+        l_records: list[tuple[Any, Any]],
+        index: dict[Any, list[Any]],
+        capped: frozenset = frozenset(),
+    ) -> list[Pair]:
+        """Each left record joined with its value's rids; values in
+        *capped* join nothing."""
+        return [
+            (lid, rid)
+            for lid, value in l_records
+            if value not in capped
+            for rid in index.get(value, ())
+        ]
 
     def _compute_blocking(
         self,
@@ -92,26 +103,13 @@ class AttrEquivalenceBlocker(Blocker):
         self._validate_inputs(
             ltable, rtable, l_key, r_key, [(ltable, self.l_attr), (rtable, self.r_attr)]
         )
-        l_values = self._values(ltable, self.l_attr, self.l_preprocess)
-        r_values = self._values(rtable, self.r_attr, self.r_preprocess)
-        l_ids = ltable[l_key]
-        r_ids = rtable[r_key]
-        index: dict[Any, list[Any]] = {}
-        for rid, value in zip(r_ids, r_values):
-            if not is_missing(value):
-                index.setdefault(value, []).append(rid)
+        l_records = self._records(session, ltable, l_key, left=True)
+        index = self._right_index(self._records(session, rtable, r_key, left=False))
         capped = capped_keys(
             {v: len(rids_) for v, rids_ in index.items()},
             self.block_size_policy,
             instrumentation,
         )
-        pairs = []
-        for lid, value in zip(l_ids, l_values):
-            if is_missing(value):
-                continue
-            if value in capped:
-                continue
-            for rid in index.get(value, ()):
-                pairs.append((lid, rid))
+        pairs = self._probe(session, l_records, index, capped)
         count(instrumentation, "pairs_out", len(pairs))
         return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)

@@ -33,9 +33,14 @@ class Blocker:
     #: Subclasses set this for nicer candidate-set names.
     short_name = "blocker"
 
-    #: True when :meth:`incremental` vends a delta-maintained handle.
-    #: Implies the blocker's emission is independent per left row (the
-    #: property the segmented store layer also relies on).
+    #: True when :meth:`incremental` vends a handle. Implies the
+    #: blocker's emission is independent per left row (the property
+    #: :func:`repro.store.segments.segmented_block`, which only tests and
+    #: the benchmark tracer use, also checks) and that the blocker defines
+    #: the three hooks the handle and the batch path share:
+    #: ``_records(session, table, key, left=...)`` reads a side's
+    #: blocking values, ``_right_index(r_records)`` indexes the right
+    #: side and ``_probe(session, l_records, right, capped)`` probes it.
     supports_incremental = False
 
     def incremental(
@@ -49,38 +54,25 @@ class Blocker:
         """Vend an :class:`~repro.blocking.incremental.IncrementalBlocking`
         handle over a fixed right table.
 
-        Blockers without posting-index maintenance raise a typed
-        :class:`~repro.errors.IncrementalBlockingError` — never a silent
-        fallback to a full re-block, whose cost callers must opt into
-        explicitly via :meth:`block_tables`.
-        """
-        raise IncrementalBlockingError(
-            f"{type(self).__name__} does not support incremental blocking: "
-            "no posting-index maintenance is defined for it; run "
-            "block_tables() for a full re-block instead"
-        )
-
-    def upsert(self, records: "Any", *_args: Any, **_kwargs: Any) -> "Any":
-        """Guard rail: upserts live on incremental *handles*, not on the
-        stateless blocker config.
-
-        Raises :class:`~repro.errors.IncrementalBlockingError` always —
-        with a pointer to :meth:`incremental` when this blocker supports
-        delta maintenance, and an explicit "not supported, re-block
-        instead" otherwise. Silently falling back to ``block_tables``
-        here would hide a full re-run behind an O(delta)-looking call.
+        Blockers without the shared index-and-probe hooks, and capped
+        ones, raise a typed :class:`~repro.errors.IncrementalBlockingError`
+        — never a silent fallback to a full re-block, whose cost callers
+        must opt into explicitly via :meth:`block_tables`.
         """
         if not self.supports_incremental:
             raise IncrementalBlockingError(
                 f"{type(self).__name__} does not support incremental blocking: "
-                "no posting-index maintenance is defined for it; run "
+                "it has no right index to probe per batch; run "
                 "block_tables() for a full re-block instead"
             )
-        raise IncrementalBlockingError(
-            f"{type(self).__name__} is a stateless blocker config; build a "
-            "delta-maintained handle with incremental(rtable, l_key, r_key) "
-            "and upsert on the handle"
-        )
+        if self.block_size_policy.capped:
+            raise IncrementalBlockingError(
+                "incremental blocking does not support block-size caps; "
+                "use an uncapped blocker for delta handles"
+            )
+        from .incremental import IncrementalBlocking
+
+        return IncrementalBlocking(self, rtable, l_key, r_key, session=session)
 
     def block_tables(
         self,
@@ -124,8 +116,8 @@ class Blocker:
             _require_attr(table, attr)
 
     def _validate_table(self, table: Table, key: str, attr: str) -> None:
-        """:meth:`_validate_inputs` for one table: the incremental handles
-        check the fixed right table once and each upsert batch on its own."""
+        """:meth:`_validate_inputs` for one table: an incremental handle
+        checks the fixed right table once and each batch on its own."""
         validate_key(table, key)
         _require_attr(table, attr)
 

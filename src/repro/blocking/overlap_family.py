@@ -13,7 +13,7 @@ Both run one pipeline over interned token ids:
    the probe side only, never verification;
 4. probe the index with each left record's probe tokens, collecting its
    candidates in a ``seen`` set, in one in-process pass
-   (:func:`probe_records`);
+   (:meth:`TokenBlocker._probe`);
 5. verify the ordered candidate list with one batch keep-mask.
 
 Two hooks are all that differ between the blockers:
@@ -25,9 +25,10 @@ Two hooks are all that differ between the blockers:
 * :attr:`TokenBlocker._keep_mask`, the batch predicate from
   :mod:`repro.similarity.batch`.
 
-The delta handle (:mod:`repro.blocking.incremental`) runs the same
-:func:`probe_records` over the same hooks, so both emit the same pairs
-in the same order. The probe runs in the calling process, like every
+The batch path and the incremental handle
+(:mod:`repro.blocking.incremental`) share :meth:`TokenBlocker._right_index`
+and :meth:`TokenBlocker._probe`, so both emit the same pairs in the same
+order. The probe runs in the calling process, like every
 stage: shipping the index to worker chunks cost more in pickling than
 the chunks saved (measurements in ``docs/blocking.md``).
 
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-from ..errors import IncrementalBlockingError
 from ..runtime.context import EngineSession
 from ..runtime.instrument import count, stage
 from ..table import Table
@@ -60,6 +60,8 @@ from .policy import BlockSizePolicy, capped_keys, resolve_policy
 
 Normalizer = Callable[[Any], Any]
 Pair = tuple[Any, Any]
+#: ``(inverted index, document frequencies, rid -> id set)`` of a right side.
+_RightIndex = tuple[dict[int, list[Any]], dict[int, int], dict[Any, Any]]
 
 
 def right_index(
@@ -76,37 +78,6 @@ def right_index(
         for tid in entry.probe:
             index.setdefault(tid, []).append(rid)
     return index, {tid: len(rids) for tid, rids in index.items()}
-
-
-def probe_records(
-    lids: Sequence[Any],
-    probes: Sequence[Any],
-    l_sets: Sequence[Any],
-    r_sets: Mapping[Any, Any],
-    index: Mapping[int, list[Any]],
-    keep_mask: Callable,
-    threshold: Any,
-) -> list[Pair]:
-    """Probe *index* for each left record, then verify in one batch call.
-
-    *probes* holds each record's probe ids, *l_sets* / *r_sets* the id
-    frozensets verification intersects.
-    """
-    cand_pairs: list[Pair] = []
-    cand_a: list[Any] = []
-    cand_b: list[Any] = []
-    for lid, probe, a in zip(lids, probes, l_sets):
-        seen: set[Any] = set()
-        for tid in probe:
-            posting = index.get(tid)
-            if posting is not None:
-                seen.update(posting)
-        for rid in seen:
-            cand_pairs.append((lid, rid))
-            cand_a.append(a)
-            cand_b.append(r_sets[rid])
-    keep = keep_mask(cand_a, cand_b, threshold)
-    return [pair for pair, kept in zip(cand_pairs, keep) if kept]
 
 
 class TokenBlocker(Blocker):
@@ -181,23 +152,49 @@ class TokenBlocker(Blocker):
             count(session.instrumentation, "capped_records", stranded)
         return lids, probes, kept
 
-    def incremental(
-        self,
-        rtable: Table,
-        l_key: str,
-        r_key: str,
-        *,
-        session: EngineSession | None = None,
-    ) -> Any:
-        """Delta-maintained handle; see :mod:`repro.blocking.incremental`."""
-        if self.block_size_policy.capped:
-            raise IncrementalBlockingError(
-                "incremental blocking does not support block-size caps; "
-                "use an uncapped blocker for delta handles"
-            )
-        from .incremental import _TokenIncrementalBlocking
+    def _records(
+        self, session: EngineSession, table: Table, key: str, *, left: bool
+    ) -> Mapping[Any, Any]:
+        """Each record's interned tokens, keyed by id, through the session's
+        token cache; rows whose cell is missing or tokenizes to nothing
+        are absent."""
+        return session.token_cache.token_ids_by_id(
+            table, self.l_attr if left else self.r_attr, key,
+            self.tokenizer, self.normalizer,
+        )
 
-        return _TokenIncrementalBlocking(self, rtable, l_key, r_key, session=session)
+    def _right_index(self, r_entries: Mapping[Any, Any]) -> _RightIndex:
+        """The right side's inverted index, document frequencies and id sets."""
+        index, doc_freq = right_index(r_entries)
+        return index, doc_freq, {rid: entry.ids for rid, entry in r_entries.items()}
+
+    def _probe(
+        self,
+        session: EngineSession,
+        l_entries: Mapping[Any, Any],
+        right: _RightIndex,
+        capped: frozenset = frozenset(),
+    ) -> list[Pair]:
+        """Probe *right*'s index for each left record, then verify every
+        candidate in one batch keep-mask call; returns the kept pairs."""
+        index, doc_freq, r_sets = right
+        lids, probes, entries = self._left_probes(l_entries, doc_freq, capped, session)
+        cand_pairs: list[Pair] = []
+        cand_a: list[Any] = []
+        cand_b: list[Any] = []
+        for lid, probe, entry in zip(lids, probes, entries):
+            seen: set[Any] = set()
+            for tid in probe:
+                posting = index.get(tid)
+                if posting is not None:
+                    seen.update(posting)
+            a = entry.ids
+            for rid in seen:
+                cand_pairs.append((lid, rid))
+                cand_a.append(a)
+                cand_b.append(r_sets[rid])
+        keep = self._keep_mask(cand_a, cand_b, self.threshold)
+        return [pair for pair, kept in zip(cand_pairs, keep) if kept]
 
     def _compute_blocking(
         self,
@@ -215,30 +212,15 @@ class TokenBlocker(Blocker):
         cache = session.token_cache
         hits_before = cache.hits
         with stage(instrumentation, "tokenize"):
-            l_entries = cache.token_ids_by_id(
-                ltable, self.l_attr, l_key, self.tokenizer, self.normalizer
-            )
-            r_entries = cache.token_ids_by_id(
-                rtable, self.r_attr, r_key, self.tokenizer, self.normalizer
-            )
+            l_entries = self._records(session, ltable, l_key, left=True)
+            r_entries = self._records(session, rtable, r_key, left=False)
             count(instrumentation, "l_records", len(l_entries))
             count(instrumentation, "r_records", len(r_entries))
             count(instrumentation, "cache_hits", cache.hits - hits_before)
         with stage(instrumentation, "index"):
-            index, doc_freq = right_index(r_entries)
-            capped = capped_keys(doc_freq, self.block_size_policy, instrumentation)
+            right = self._right_index(r_entries)
+            capped = capped_keys(right[1], self.block_size_policy, instrumentation)
         with stage(instrumentation, "probe"):
-            lids, probes, entries = self._left_probes(
-                l_entries, doc_freq, capped, session
-            )
-            pairs = probe_records(
-                lids,
-                probes,
-                [entry.ids for entry in entries],
-                {rid: entry.ids for rid, entry in r_entries.items()},
-                index,
-                self._keep_mask,
-                self.threshold,
-            )
+            pairs = self._probe(session, l_entries, right, capped)
             count(instrumentation, "pairs_out", len(pairs))
         return CandidateSet(ltable, rtable, l_key, r_key, pairs, name=name or self.short_name)

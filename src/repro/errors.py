@@ -32,9 +32,10 @@ class BlockingError(ReproError):
 
 
 class IncrementalBlockingError(BlockingError):
-    """A blocker was asked for incremental (upsert/delete) maintenance it
-    does not support, or an incremental handle was misused. Raised instead
-    of silently falling back to a full re-block: callers must opt into the
+    """A blocker was asked for an incremental handle it does not support
+    (no shared index-and-probe hooks, or a block-size cap), or an
+    order-dependent blocker for segmented blocking. Raised instead of
+    silently falling back to a full re-block: callers must opt into the
     cost of ``block_tables`` explicitly."""
 
 

@@ -1,33 +1,34 @@
 """The online match service: delta patches + a per-record serving loop.
 
 :class:`MatchService` holds one fixed right table, one trained matcher
-and one delta-maintained :class:`~repro.blocking.incremental`
-handle per blocker, all resolved against a long-lived
-:class:`~repro.runtime.context.EngineSession`. Two entry points:
+and one :class:`~repro.blocking.incremental.IncrementalBlocking` handle
+per blocker (the blocker's right index, built once), all resolved
+against a long-lived :class:`~repro.runtime.context.EngineSession`. The
+handles store nothing about left records; the service alone keeps the
+live records and what each one matched. Two entry points:
 
 ``apply_patch(upserts, deletes)``
     Executes the batch workflow *restricted to the patch*: positive
-    rules over the batch table -> C1, handle previews per blocker ->
+    rules over the batch table -> C1, one handle preview per blocker ->
     delta C2 (same union/difference semantics as
     :meth:`~repro.core.workflow.EMWorkflow.build_candidates`), feature
     extraction and prediction over C = C2 - C1, negative rules, final
     delta matches ``C1 + (kept - C1)``. Because every stage is the
-    workflow's own code path over the same inputs — the handles' delta
-    pairs are bit-identical to ``block_tables`` on the batch, extraction
-    is per-pair pure, prediction is per-row pure — a patch's
+    workflow's own code path over the same inputs — a preview's pairs
+    are bit-identical to ``block_tables`` on the batch, extraction is
+    per-pair pure, prediction is per-row pure — a patch's
     :class:`PatchResult` equals the :class:`~repro.core.workflow.WorkflowResult`
     of a from-scratch run over the batch slice, field for field
     (``tests/test_incremental.py`` proves it differentially, including
     the full Section 10 replay).
 
-    Fault tolerance: all computation runs off handle *previews*; the
-    handles and the service's per-record state are committed only after
-    every stage succeeded. A matcher that raises mid-patch leaves the
-    indexes uncorrupted, the session usable and the trace
-    well-formed (``tests/test_serving.py``).
+    Fault tolerance: nothing is written until every stage succeeded;
+    then the service's per-record state is committed in one place. A
+    matcher that raises mid-patch leaves the service as it was, the
+    session usable and the trace well-formed (``tests/test_serving.py``).
 
 ``match(record)``
-    Probes the posting indexes and positive rules with one record —
+    Probes the right indexes and positive rules with one record —
     without mutating anything — scores the surviving candidates through
     the trained matcher, flags negative-rule flips, and returns ranked
     :class:`RankedCandidate` rows with per-candidate provenance (which
@@ -96,7 +97,7 @@ class PatchResult:
     :class:`~repro.core.workflow.WorkflowResult` field-for-field for the
     batch slice; ``retired`` lists the match pairs that the touched
     (replaced or deleted) records contributed before the patch and no
-    longer do.
+    longer do: a pair the patch's ``matches`` still hold is not retired.
     """
 
     upserted: tuple[Any, ...]
@@ -128,7 +129,7 @@ class MatchService:
         later patch uses (``apply_patch(upserts=ltable)``), so the
         service starts bit-equal to a batch workflow run over *ltable*.
     rtable:
-        The fixed right table the posting indexes are built over.
+        The fixed right table the blockers' right indexes are built over.
     matcher:
         A *trained* :class:`~repro.matchers.ml_matcher.MLMatcher`.
     feature_set, blockers, positive_rules, negative_rules:
@@ -275,12 +276,12 @@ class MatchService:
 
     def _batch_workflow(
         self, batch: Table, collector: Any
-    ) -> tuple[CandidateSet, list[Any], tuple, tuple, tuple, tuple, tuple]:
+    ) -> tuple[CandidateSet, tuple, tuple, tuple, tuple, tuple]:
         """Stages 1-6 of the workflow over the batch table.
 
-        Blocking comes from handle *previews* (pure; committed by the
-        caller only after everything below succeeded); every other stage
-        is the workflow's own operator over the same inputs.
+        Blocking comes from handle previews; every other stage is the
+        workflow's own operator over the same inputs. Nothing here
+        mutates the service.
         """
         from ..rules.negative import apply_negative_rules
         from ..store.stages import IndexedSureMatchStage, PredictStage
@@ -293,12 +294,9 @@ class MatchService:
             ),
             provenance=collector,
         )
-        pendings = []
         blocked = []
         for handle in self.handles:
-            pending = handle.preview(batch)
-            pendings.append(pending)
-            result = c1._derive(pending.delta, handle.blocker.short_name)
+            result = c1._derive(handle.preview(batch), handle.blocker.short_name)
             blocked.append(result)
             if collector is not None:
                 collector.record_blocker(handle.blocker.short_name, result.pairs)
@@ -322,7 +320,6 @@ class MatchService:
             collector.record_outcome(predicted, flipped, final)
         return (
             c1,
-            pendings,
             tuple(c2.pairs),
             tuple(c.pairs),
             tuple(predicted),
@@ -341,10 +338,9 @@ class MatchService:
     ) -> PatchResult:
         """Apply a patch (insert-or-replace rows, delete ids) as a delta.
 
-        Returns the batch's workflow result plus the retired pairs. All
-        state — posting indexes and per-record match bookkeeping — is
-        committed only after every stage succeeded; an exception leaves
-        the service exactly as before the call.
+        Returns the batch's workflow result plus the retired pairs. The
+        per-record state is committed only after every stage succeeded;
+        an exception leaves the service exactly as before the call.
         """
         t0 = perf_counter()
         rows = self._as_rows(upserts)
@@ -352,7 +348,7 @@ class MatchService:
         collector = self._resolve_collector(provenance)
         batch = Table.from_rows(rows, name="patch") if rows else None
         if batch is not None:
-            c1, pendings, c2_pairs, c_pairs, predicted, flipped, final = (
+            c1, c2_pairs, c_pairs, predicted, flipped, final = (
                 self._batch_workflow(batch, collector)
             )
             order = tuple(batch[self.l_key])
@@ -370,35 +366,31 @@ class MatchService:
                 flips_by[pair[0]].append((pair, rule))
         else:
             c1 = None
-            pendings, c2_pairs, c_pairs, predicted, flipped, final = (
-                [], (), (), (), (), ()
-            )
+            c2_pairs, c_pairs, predicted, flipped, final = (), (), (), (), ()
             order = ()
             sure_by, kept_by, flips_by = {}, {}, {}
 
         # ---- commit point: nothing above mutated the service ----------
-        touched = list(delete_ids) + [lid for lid in order]
-        retired: list[Pair] = []
-        seen_retire: set[Pair] = set()
-        for lid in touched:
-            for pair in self._sure.get(lid, ()) + self._kept.get(lid, ()):
-                if pair not in seen_retire:
-                    seen_retire.add(pair)
-                    retired.append(pair)
+        touched = list(delete_ids) + list(order)
+        # an old pair the patch matches again stays live: not retired
+        rematched = set(final)
+        retired = [
+            pair
+            for pair in dict.fromkeys(
+                pair
+                for lid in touched
+                for pair in self._sure.get(lid, ()) + self._kept.get(lid, ())
+            )
+            if pair not in rematched
+        ]
         deleted = tuple(lid for lid in delete_ids if lid in self._rows)
         for lid in delete_ids:
-            for handle in self.handles:
-                handle.delete([lid])
-            self._rows.pop(lid, None)
-            self._sure.pop(lid, None)
-            self._kept.pop(lid, None)
-            self._flipped.pop(lid, None)
-        for handle, pending in zip(self.handles, pendings):
-            handle.commit(pending)
+            for state in (self._rows, self._sure, self._kept, self._flipped):
+                state.pop(lid, None)
         for row in rows:
             lid = row[self.l_key]
             # replace = delete + insert: a re-upserted record moves to the
-            # end of insertion order, matching the handles' commit order
+            # end of insertion order
             for state in (self._rows, self._sure, self._kept, self._flipped):
                 state.pop(lid, None)
             self._rows[lid] = row
@@ -431,8 +423,8 @@ class MatchService:
     def match(self, record: Mapping[str, Any], *, top_k: int | None = None) -> MatchResponse:
         """Rank the right-table candidates for one record (no mutation).
 
-        Candidates come from the positive rules and every posting-index
-        probe (handle previews — the indexes are read, never written);
+        Candidates come from the positive rules and every blocker's
+        right-index probe (handle previews);
         non-sure candidates are scored by the matcher and checked against
         the negative rules. Ranking: sure matches first (rules outrank
         scores, as in the workflow), then by descending score with
@@ -453,7 +445,7 @@ class MatchService:
                 sure_rule_of.setdefault(pair, index.rule.name)
                 emitted.setdefault(pair, [])
         for handle in self.handles:
-            for pair in handle.preview(probe).delta:
+            for pair in handle.preview(probe):
                 emitted.setdefault(pair, []).append(handle.blocker.short_name)
         ordered_pairs = list(emitted)
         to_score = [p for p in ordered_pairs if p not in sure_rule_of]
@@ -568,7 +560,3 @@ class MatchService:
     def current_flips(self) -> list[tuple[Pair, str]]:
         """All live negative-rule flips, in insertion order."""
         return [f for flips in self._flipped.values() for f in flips]
-
-    def blocking_state(self) -> list[dict[str, Any]]:
-        """Each handle's canonical state snapshot (differential testing)."""
-        return [handle.state_snapshot() for handle in self.handles]

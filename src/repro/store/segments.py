@@ -10,8 +10,8 @@ containing them — ~1% changed invalidates ~1% of the artifacts — while
 every untouched segment hits, even across *different table objects* that
 share row ranges (the original and its patched copy).
 
-Validity rests on the same property the incremental handles rely on
-(:attr:`~repro.blocking.base.Blocker.supports_incremental`): the
+Validity rests on the property
+:attr:`~repro.blocking.base.Blocker.supports_incremental` implies: the
 blocker's emission for a left row must not depend on any *other* left
 row. All three case-study blockers qualify — the overlap blockers'
 global prefix order ``(doc_freq, token)`` is computed from the *right*
@@ -22,9 +22,12 @@ in segment order reproduces the full-table run's pairs **bit-identically**
 left rows (e.g. sorted neighborhood) raise a typed error instead of
 silently caching wrong slices.
 
-This layer is consumed by the serving path and benchmarks; the batch
-workflow keeps the whole-table stage, so existing goldens, ledgers and
-manifests are untouched.
+No program path runs this layer: the batch workflow keeps the
+whole-table stage and the serving path probes incremental handles. Its
+only importers are ``tests/test_prop_store.py`` and the benchmark
+harness's tracer (``perfbench/tracing.py``), which wraps
+:meth:`SegmentBlockStage.compute` by name and would fail at import
+without it.
 """
 
 from __future__ import annotations

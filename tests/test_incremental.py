@@ -1,16 +1,16 @@
-"""Differential tests: delta blocking state ≡ from-scratch rerun.
+"""Differential tests: incremental blocking ≡ from-scratch rerun.
 
 The contract under test (``src/repro/blocking/incremental.py``): a
-delta-maintained handle, after any interleaving of upserts and deletes,
-holds exactly the state a fresh handle would build over the surviving
-records, and every upsert's delta pairs are bit-identical — values AND
-order — to ``blocker.block_tables(batch_table, rtable)``.
+handle's ``preview(batch)`` is bit-identical — values AND order — to
+``blocker.block_tables(batch, rtable)``, and, because the handle stores
+nothing about left records, a handle that has already previewed any
+sequence of batches answers each batch exactly as a fresh handle does.
 
 Random-breadth checks use the seeded-numpy idiom of
-``tests/test_prop_store.py``; interleaved-sequence convergence is
-property-based via hypothesis, with re-upserts of identical rows,
-deletes of absent ids, empty batches and empty-token records all inside
-the op space. The Section-10 replay drives the whole serving path
+``tests/test_prop_store.py``; batch sequences are property-based via
+hypothesis, with repeated ids, identical rows, empty batches and
+empty-token records all inside the input space. The Section-10 replay
+drives the whole serving path
 (:meth:`repro.serving.MatchService.apply_patch` over the late-arriving
 records) and asserts it equals the batch Figure-10 rerun field for
 field — candidate sets, feature rows, predicted matches and per-pair
@@ -29,11 +29,12 @@ from repro.blocking import (
     BlackBoxBlocker,
     CandidateSet,
     OverlapBlocker,
-    PostingIndex,
+    OverlapCoefficientBlocker,
     RuleBasedBlocker,
     SortedNeighborhoodBlocker,
 )
 from repro.errors import BlockingError, IncrementalBlockingError
+from repro.runtime import TokenCache
 from repro.runtime.context import EngineSession
 from repro.table import Table
 
@@ -45,38 +46,6 @@ BLOCKERS = incremental_blockers()
 RIGHT = random_table(np.random.default_rng(123), n_rows=10, name="R")
 
 
-class TestPostingIndex:
-    def test_add_remove_roundtrip(self):
-        index = PostingIndex()
-        index.add(1, ["a", "b"])
-        index.add(2, ["b"])
-        assert list(index.postings("b")) == [1, 2]
-        assert "a" in index and len(index) == 2
-        index.remove(1, ["a", "b"])
-        assert "a" not in index  # empty postings are dropped entirely
-        assert list(index.postings("b")) == [2]
-        assert len(index) == 1
-
-    def test_remove_absent_is_noop(self):
-        index = PostingIndex()
-        index.add(1, ["a"])
-        index.remove(2, ["a", "zzz"])
-        assert list(index.postings("a")) == [1]
-
-    def test_snapshot_is_history_independent(self):
-        evolved, fresh = PostingIndex(), PostingIndex()
-        evolved.add(1, ["x"])
-        evolved.add(2, ["x"])
-        evolved.remove(1, ["x"])
-        evolved.add(1, ["x"])
-        fresh.add(1, ["x"])
-        fresh.add(2, ["x"])
-        # live iteration reflects history; snapshots are canonical
-        assert list(evolved.postings("x")) == [2, 1]
-        assert list(fresh.postings("x")) == [1, 2]
-        assert evolved.snapshot() == fresh.snapshot()
-
-
 @pytest.mark.parametrize("blocker", BLOCKERS, ids=lambda b: b.short_name)
 class TestDeltaEqualsBatch:
     def test_first_upsert_bit_identical_to_block_tables(self, blocker):
@@ -85,24 +54,23 @@ class TestDeltaEqualsBatch:
             left = random_table(rng, name="L")
             right = random_table(rng, name="R")
             handle = blocker.incremental(right, "id", "id")
-            delta = handle.upsert(left)
+            pairs = handle.preview(left)
             reference = blocker.block_tables(left, right, "id", "id")
-            assert delta == list(reference.pairs), f"case {case}"
+            assert pairs == list(reference.pairs), f"case {case}"
 
     def test_replacement_upsert_still_bit_identical(self, blocker):
-        # upserting ids the handle already holds must emit exactly what
-        # the batch path emits for the new batch (replace, not append)
+        # a batch reusing ids an earlier preview saw must emit exactly
+        # what the batch path emits for the new batch alone
         rng = np.random.default_rng(12)
         for case in range(N_CASES):
             left = random_table(rng, name="L")
             right = random_table(rng, name="R")
             handle = blocker.incremental(right, "id", "id")
-            handle.upsert(left)
+            handle.preview(left)
             patched = random_table(rng, n_rows=len(left), name="patched")
-            delta = handle.upsert(patched)
+            pairs = handle.preview(patched)
             reference = blocker.block_tables(patched, right, "id", "id")
-            assert delta == list(reference.pairs), f"case {case}"
-            assert set(handle.pairs()) == reference.pair_set()
+            assert pairs == list(reference.pairs), f"case {case}"
 
 
 def _row(i: int, num: str | None, words: list[str]) -> dict:
@@ -112,55 +80,51 @@ def _row(i: int, num: str | None, words: list[str]) -> dict:
 ROWS = st.builds(
     _row,
     st.integers(min_value=1, max_value=8),
-    st.one_of(st.none(), st.sampled_from(["A101", "B202", "C303"])),
+    # three of RIGHT's numbers, so the equivalence blocker emits pairs
+    st.one_of(
+        st.none(),
+        st.sampled_from(["A101"] + [n for n in RIGHT["num"] if n is not None][:3]),
+    ),
     st.lists(st.sampled_from(WORDS[:8]), max_size=5),
 )
 BATCHES = st.lists(ROWS, max_size=4, unique_by=lambda r: r["id"])
-OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("upsert"), BATCHES),
-        st.tuples(
-            st.just("delete"),
-            st.lists(st.integers(min_value=1, max_value=10), max_size=3),
-        ),
-    ),
-    max_size=6,
-)
+SEQUENCES = st.lists(BATCHES, max_size=6)
 
 
 @pytest.mark.parametrize("blocker", BLOCKERS, ids=lambda b: b.short_name)
-@given(ops=OPS)
+@given(batches=SEQUENCES)
 @settings(
     max_examples=20, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_interleaved_ops_converge_to_fresh_build(blocker, ops):
-    """Any upsert/delete interleaving lands on the fresh-build state."""
+def test_interleaved_ops_converge_to_fresh_build(blocker, batches):
+    """Any sequence of batches through one handle: every preview equals
+    the batch rerun over that batch alone."""
     handle = blocker.incremental(RIGHT, "id", "id")
-    live: dict[int, dict] = {}
-    for op, payload in ops:
-        if op == "upsert":
-            delta = handle.upsert(rows_table(payload))
-            if payload:
-                reference = blocker.block_tables(
-                    rows_table(payload), RIGHT, "id", "id"
-                )
-                assert delta == list(reference.pairs)
-            else:
-                assert delta == []
-            for row in payload:
-                live.pop(row["id"], None)
-                live[row["id"]] = row
-        else:
-            retired = handle.delete(payload)
-            assert {lid for lid, _ in retired} <= set(payload) & set(live)
-            for lid in payload:
-                live.pop(lid, None)
-    fresh = blocker.incremental(RIGHT, "id", "id")
-    if live:
-        fresh.upsert(rows_table(list(live.values())))
-    assert handle.state_snapshot() == fresh.state_snapshot()
-    assert handle.pair_state() == fresh.pair_state()
+    for batch in batches:
+        table = rows_table(batch)
+        reference = blocker.block_tables(table, RIGHT, "id", "id")
+        assert handle.preview(table) == list(reference.pairs)
+
+
+@pytest.mark.parametrize("blocker", BLOCKERS, ids=lambda b: b.short_name)
+@given(batches=SEQUENCES)
+@settings(
+    max_examples=20, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_handle_is_stateless(blocker, batches):
+    """One handle fed a sequence of batches returns, for each batch,
+    exactly what a fresh handle, over a fresh token cache, returns for
+    that batch: earlier previews leave nothing behind that changes an
+    answer."""
+    handle = blocker.incremental(RIGHT, "id", "id")
+    for batch in batches:
+        table = rows_table(batch)
+        with EngineSession(token_cache=TokenCache()) as session:
+            fresh = blocker.incremental(RIGHT, "id", "id", session=session)
+            expected = fresh.preview(table)
+        assert handle.preview(table) == expected
 
 
 @pytest.mark.parametrize("blocker", BLOCKERS, ids=lambda b: b.short_name)
@@ -168,44 +132,21 @@ class TestUpsertEdgeCases:
     def test_reupsert_identical_rows_is_stable(self, blocker):
         left = random_table(np.random.default_rng(21), n_rows=6, name="L")
         handle = blocker.incremental(RIGHT, "id", "id")
-        first = handle.upsert(left)
-        before = handle.state_snapshot()
-        assert handle.upsert(left) == first
-        assert handle.state_snapshot() == before
-
-    def test_delete_absent_ids_is_graceful_noop(self, blocker):
-        left = random_table(np.random.default_rng(22), n_rows=5, name="L")
-        handle = blocker.incremental(RIGHT, "id", "id")
-        handle.upsert(left)
-        before = handle.state_snapshot()
-        assert handle.delete([999, -1]) == []
-        assert handle.state_snapshot() == before
+        first = handle.preview(left)
+        assert handle.preview(left) == first
+        assert first == list(blocker.block_tables(left, RIGHT, "id", "id").pairs)
 
     def test_empty_upserts_are_noops(self, blocker):
         handle = blocker.incremental(RIGHT, "id", "id")
-        assert handle.upsert([]) == []
-        assert handle.upsert(rows_table([])) == []
-        assert handle.pair_state() == {}
+        assert handle.preview(rows_table([])) == []
 
     def test_missing_cell_clears_previous_state(self, blocker):
+        # the same id with its cells gone emits nothing, whatever an
+        # earlier preview of that id emitted
         handle = blocker.incremental(RIGHT, "id", "id")
-        handle.upsert([{"id": 1, "num": "A101", "title": "alpha beta gamma"}])
-        handle.upsert([{"id": 1, "num": None, "title": None}])
-        assert handle.pairs_for(1) == ()
-        assert handle.pair_state() == {}
-        assert handle.state_snapshot()["index"] == {}
-
-
-def test_delete_returns_retired_pairs():
-    right = Table(
-        {"id": [10, 20], "num": ["A1", "A1"], "title": ["x", "y"]}, name="R"
-    )
-    handle = AttrEquivalenceBlocker("num", "num").incremental(right, "id", "id")
-    assert handle.upsert([{"id": 1, "num": "A1", "title": ""}]) == [
-        (1, 10), (1, 20)
-    ]
-    assert handle.delete([1]) == [(1, 10), (1, 20)]
-    assert handle.pairs() == []
+        twin = {"id": 1, "num": RIGHT["num"][0], "title": RIGHT["title"][0]}
+        assert handle.preview(rows_table([twin]))
+        assert handle.preview(rows_table([{"id": 1, "num": None, "title": None}])) == []
 
 
 class TestTypedErrors:
@@ -231,23 +172,18 @@ class TestTypedErrors:
             blocker.incremental(RIGHT, "id", "id")
 
     @pytest.mark.parametrize(
-        "blocker", NON_INCREMENTAL, ids=lambda b: type(b).__name__
+        "blocker",
+        [
+            AttrEquivalenceBlocker("num", "num", block_size_policy=2),
+            OverlapBlocker("title", "title", threshold=2, block_size_policy=2),
+            OverlapCoefficientBlocker("title", "title", 0.6, block_size_policy=2),
+        ],
+        ids=lambda b: b.short_name,
     )
-    def test_upsert_raises_typed_error(self, blocker):
-        with pytest.raises(
-            IncrementalBlockingError, match="does not support incremental"
-        ):
-            blocker.upsert([{"id": 1, "title": "alpha"}])
-
-    def test_supporting_blocker_upsert_without_handle_raises(self):
-        # even a supporting blocker has no state to upsert into — the
-        # config object must direct callers to a handle, never silently
-        # fall back to a full re-block
-        blocker = OverlapBlocker("title", "title", threshold=2)
-        with pytest.raises(
-            IncrementalBlockingError, match="delta-maintained handle"
-        ):
-            blocker.upsert([{"id": 1, "title": "alpha"}])
+    def test_capped_blocker_refuses_a_handle(self, blocker):
+        assert blocker.supports_incremental
+        with pytest.raises(IncrementalBlockingError, match="block-size caps"):
+            blocker.incremental(RIGHT, "id", "id")
 
 
 class TestSection10Replay:

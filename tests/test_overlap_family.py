@@ -2,7 +2,7 @@
 
 The two token blockers share one id-based probe
 (:mod:`repro.blocking.overlap_family`), run in three layouts: batch,
-sharded, and the incremental delta handle. Each combination of
+sharded, and the incremental handle's per-batch preview. Each combination of
 predicate, layout and block-size cap must emit exactly the pairs — and
 in exactly the order — of the ``frozenset[str]`` reference in
 ``tests/blocking_reference.py``.
@@ -42,7 +42,7 @@ predicate_strategy = st.one_of(
 
 SHARDS = (1, 3, 8)
 CAPS = (None, 2)
-UPSERT_BATCH = 3
+PREVIEW_BATCH = 3
 
 
 def table(titles, name):
@@ -80,10 +80,10 @@ def test_every_layout_matches_reference(l_titles, r_titles, predicate):
                 base.incremental(right, "id", "id")
             continue
         handle = base.incremental(right, "id", "id")
-        for start in range(0, len(left), UPSERT_BATCH):
-            rows = list(range(start, min(start + UPSERT_BATCH, len(left))))
+        for start in range(0, len(left), PREVIEW_BATCH):
+            rows = list(range(start, min(start + PREVIEW_BATCH, len(left))))
             batch = left.take(rows)
-            assert handle.upsert(batch) == block_pairs(base, batch, right, "id", "id")
+            assert handle.preview(batch) == block_pairs(base, batch, right, "id", "id")
 
 
 @pytest.mark.parametrize("predicate", [("overlap", 1), ("coefficient", 0.5)])

@@ -3,11 +3,16 @@
 Covers the serving loop of :mod:`repro.serving`: bootstrap equivalence
 with the batch workflow, patch/delete bookkeeping (retired pairs),
 ``match()`` ranking and lineage, typed configuration errors, the
-mid-patch fault regression (a raising matcher must leave the posting
-indexes uncommitted, the session pool alive and the trace well-formed —
-mirroring ``tests/test_session.py``), a hypothesis stateful machine
-driving the service end to end against a rebuilt-from-scratch reference,
-and what a long-lived service's token cache retains.
+mid-patch fault regression (a raising matcher must leave the service's
+per-record state uncommitted, the session alive and the trace
+well-formed — mirroring ``tests/test_session.py``), a hypothesis
+stateful machine driving the service end to end against a
+rebuilt-from-scratch reference, and what a long-lived service's token
+cache retains.
+
+The service's state is its live records and what each one matched, so
+its accumulated views — ``live_ids()``, ``current_matches()`` and
+``current_flips()`` — are what these tests compare.
 """
 
 from __future__ import annotations
@@ -44,6 +49,15 @@ SERVE_COLUMNS = ("id", "num", "t")
 
 def empty_left() -> Table:
     return Table({"id": [], "num": [], "t": []}, name="L0")
+
+
+def state(service):
+    """The service's accumulated views, comparable across services."""
+    return (
+        service.live_ids(),
+        set(service.current_matches()),
+        set(service.current_flips()),
+    )
 
 
 def build_service(ltable=None, *, matcher=None, blockers=None, session=None):
@@ -135,8 +149,16 @@ class TestPatchSemantics:
             for lid in service.live_ids()
         ]
         fresh = build_service(rows_table(mutated, columns=SERVE_COLUMNS))
-        assert set(service.current_matches()) == set(fresh.current_matches())
-        assert service.blocking_state() == fresh.blocking_state()
+        assert state(service) == state(fresh)
+
+    def test_unchanged_reupsert_retires_nothing(self):
+        # the record matches (1, 10) again, so the pair is not retired
+        service = build_service()
+        before = set(service.current_matches())
+        result = service.apply_patch(upserts=[{"id": 1, "num": "A1", "t": "x y z w"}])
+        assert result.matches == ((1, 10),)
+        assert result.retired == ()
+        assert set(service.current_matches()) == before
 
     def test_negative_rule_flip_recorded(self):
         service = build_service()
@@ -167,11 +189,11 @@ class TestMatch:
 
     def test_match_is_read_only_and_deterministic(self):
         service = build_service()
-        before = service.blocking_state()
+        before = state(service)
         row = {"id": 9, "num": "WIS00001", "t": "a b c d"}
         first = service.match(row)
         second = service.match(row)
-        assert service.blocking_state() == before
+        assert state(service) == before
         assert 9 not in service.live_ids()
         key = lambda c: (c.pair, c.score, c.sure_rule, c.blockers,
                          c.flipped_by, c.is_match)
@@ -245,8 +267,8 @@ class _BoomMatcher:
 
 
 def test_raising_patch_leaves_service_uncorrupted(tmp_path):
-    """Satellite regression: a matcher raising mid-patch must leave the
-    posting indexes uncommitted, the session open and the trace
+    """Regression: a matcher raising mid-patch must leave the service's
+    per-record state uncommitted, the session open and the trace
     well-formed — and the next call must serve correct results."""
     left, right, features, matcher, positive, negative, blockers = (
         serving_world()
@@ -263,15 +285,15 @@ def test_raising_patch_leaves_service_uncorrupted(tmp_path):
         )
         before_ids = service.live_ids()
         before_matches = service.current_matches()
-        before_state = service.blocking_state()
+        before_flips = service.current_flips()
         boom.armed = True
         with pytest.raises(RuntimeError, match="matcher exploded"):
             service.apply_patch(upserts=[probe])
         boom.armed = False
-        # nothing committed: indexes and bookkeeping as before the call
+        # nothing committed: the per-record state is as before the call
         assert service.live_ids() == before_ids
         assert service.current_matches() == before_matches
-        assert service.blocking_state() == before_state
+        assert service.current_flips() == before_flips
         # the fault did not unwind the session: it is still the ambient one
         assert current_session() is session
         # the next calls serve correct results on the uncorrupted state
@@ -279,8 +301,7 @@ def test_raising_patch_leaves_service_uncorrupted(tmp_path):
         fresh = build_service(
             rows_table(left.to_rows() + [probe], columns=SERVE_COLUMNS)
         )
-        assert set(service.current_matches()) == set(fresh.current_matches())
-        assert service.blocking_state() == fresh.blocking_state()
+        assert state(service) == state(fresh)
         assert retry.upserted == (9,)
         assert service.match(probe).record_id == 9
     root = load_trace(trace_path)  # writer closed; partial events parse
@@ -300,16 +321,25 @@ SERVE_BATCHES = st.lists(SERVE_ROWS, max_size=3, unique_by=lambda r: r["id"])
 
 class ServiceConvergence(RuleBasedStateMachine):
     """Drive a MatchService end to end: after every step it must equal a
-    fresh service rebuilt from scratch over the live rows."""
+    fresh service rebuilt from scratch over the live rows, and every
+    patch's ``retired`` and ``matches`` must account for the change in
+    its live matches."""
 
     def __init__(self):
         super().__init__()
         self.service = build_service(empty_left())
         self.model: dict[int, dict] = {}
+        self.patch = None
+
+    def apply(self, **patch):
+        before = set(self.service.current_matches())
+        result = self.service.apply_patch(**patch)
+        self.patch = (before, result, set(self.service.current_matches()))
+        return result
 
     @rule(batch=SERVE_BATCHES)
     def upsert(self, batch):
-        result = self.service.apply_patch(upserts=batch)
+        result = self.apply(upserts=batch)
         assert result.upserted == tuple(row["id"] for row in batch)
         for row in batch:
             self.model.pop(row["id"], None)
@@ -318,7 +348,7 @@ class ServiceConvergence(RuleBasedStateMachine):
     @rule(ids=st.lists(st.integers(min_value=1, max_value=8), max_size=3,
                        unique=True))
     def delete(self, ids):
-        result = self.service.apply_patch(deletes=ids)
+        result = self.apply(deletes=ids)
         assert set(result.deleted) == set(ids) & set(self.model)
         for lid in ids:
             self.model.pop(lid, None)
@@ -343,7 +373,18 @@ class ServiceConvergence(RuleBasedStateMachine):
             fresh.current_matches()
         )
         assert set(self.service.current_flips()) == set(fresh.current_flips())
-        assert self.service.blocking_state() == fresh.blocking_state()
+
+    @invariant()
+    def retired_pairs_are_gone(self):
+        if self.patch is not None:
+            _, result, after = self.patch
+            assert not set(result.retired) & after
+
+    @invariant()
+    def retired_and_matches_account_for_the_patch(self):
+        if self.patch is not None:
+            before, result, after = self.patch
+            assert (before - set(result.retired)) | set(result.matches) == after
 
 
 ServiceConvergence.TestCase.settings = settings(
