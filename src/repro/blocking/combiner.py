@@ -19,8 +19,8 @@ from .candidate_set import CandidateSet
 
 def _fresh_copy(candidates: CandidateSet, name: str) -> CandidateSet:
     """A new candidate set with the same pairs — never the caller's object,
-    whose ``name`` (and pair list) must stay untouched by combining."""
-    return candidates._derive(candidates.pairs, name)
+    whose ``name`` must stay untouched by combining."""
+    return candidates._take(slice(None), name)
 
 
 def union_candidates(candidate_sets: Sequence[CandidateSet], name: str = "") -> CandidateSet:

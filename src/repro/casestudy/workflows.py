@@ -167,13 +167,10 @@ def merged_candidate_universe(
     merged_left = concat(
         [original.umetrics, extra.umetrics], name="UMETRICSProjectedAll"
     )
-    universe = CandidateSet(
-        merged_left, original.usda, original.l_key, original.r_key, name="E"
+    return CandidateSet.merged(
+        [original_result.blocked, extra_result.blocked],
+        merged_left, original.usda, name="E",
     )
-    for result in (original_result, extra_result):
-        for pair in result.blocked:
-            universe.add(pair)
-    return universe
 
 
 def _slice_result(outputs: dict, prefix: str, collector) -> WorkflowResult:

@@ -324,14 +324,16 @@ def _gather(column: Sequence, rows: Sequence[int], field_name: str) -> list:
 
 def _kernel_columns(
     candidates: CandidateSet,
-    pairs: list[Pair],
+    li: list[int],
+    ri: list[int],
     features: list[Feature],
     cache: TokenCache,
 ) -> list[tuple]:
     """Columnar inputs for the kernel extraction, one entry per feature.
 
     Each column is ``(kind, meta, a_list, b_list)`` with the per-pair
-    inputs already gathered (``a_list[i]`` belongs to ``pairs[i]``):
+    inputs already gathered from left rows *li* and right rows *ri*
+    (``a_list[i]`` belongs to pair ``i``):
 
     * ``("set", measure, ids, ids)`` — per-pair ``frozenset[int]`` id
       sets for the batch kernels in :mod:`repro.similarity.batch`
@@ -348,9 +350,6 @@ def _kernel_columns(
     from ..text.tokenizers import TOKENIZERS
 
     ltable, rtable = candidates.ltable, candidates.rtable
-    l_index, r_index = candidates.l_row_index, candidates.r_row_index
-    li = [l_index[pair[0]] for pair in pairs]
-    ri = [r_index[pair[1]] for pair in pairs]
     columns: list[tuple] = []
     for feature in features:
         spec = feature.spec
@@ -452,8 +451,16 @@ def _extract_impl(
     """The extraction body (no store glue — the session already applied it)."""
     instrumentation = session.instrumentation
     if pairs is None:
+        # the set's own row positions: no id lookup per pair
         pairs = candidates.pairs
-    pairs = [tuple(p) for p in pairs]
+        li = candidates.left_positions.tolist()
+        ri = candidates.right_positions.tolist()
+    else:
+        pairs = [tuple(p) for p in pairs]
+        l_index = session.key_index(candidates.ltable, candidates.l_key)
+        r_index = session.key_index(candidates.rtable, candidates.r_key)
+        li = [l_index[pair[0]] for pair in pairs]
+        ri = [r_index[pair[1]] for pair in pairs]
     n, d = len(pairs), len(feature_set)
     features = list(feature_set)
     cache = session.token_cache
@@ -461,7 +468,7 @@ def _extract_impl(
     with stage(instrumentation, "extract_features"):
         count(instrumentation, "pairs", n)
         count(instrumentation, "cells", n * d)
-        columns = _kernel_columns(candidates, pairs, features, cache)
+        columns = _kernel_columns(candidates, li, ri, features, cache)
         functions = [f.function for f in features]
         before = (table.hits, table.misses, table.evictions)
         values = _extract_kernel(n, columns, functions, cache)

@@ -39,6 +39,7 @@ matcher prediction previously each re-implemented.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 from contextvars import ContextVar
 from typing import Any
@@ -184,6 +185,11 @@ class EngineSession:
         self.provenance = provenance
         self.seed = seed
         self.token_cache = token_cache if token_cache is not None else get_default_cache()
+        #: table -> {key column: (its values, key -> row position)}; tables
+        #: are held weakly, as the token cache holds them
+        self._key_indexes: "weakref.WeakKeyDictionary[Any, dict]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._owned_writer: Any = None
         self._tokens: list[Any] = []
         self._closed = False
@@ -235,6 +241,19 @@ class EngineSession:
             _CURRENT.reset(self._tokens.pop())
         if not self._tokens:
             self.close()
+
+    def key_index(self, table: Any, column: str) -> dict[Any, int]:
+        """``{key: row position}`` of ``table[column]``, built once per
+        session: every candidate set over the table maps its ids through
+        it. A column replaced in place since is indexed afresh."""
+        keys = table[column]
+        per_table = self._key_indexes.setdefault(table, {})
+        held = per_table.get(column)
+        if held is None or held[0] is not keys:
+            from ..blocking.candidate_set import row_index
+
+            held = per_table[column] = (keys, row_index(keys))
+        return held[1]
 
     # ------------------------------------------------------------------
     # the one stage-execution path

@@ -466,11 +466,11 @@ class MatchService:
             predicted = {p for p, s in probabilities.items() if s >= 0.5}
         flipped_by: dict[Pair, str] = {}
         if self.negative_rules and to_score:
-            r_index = self._r_index
-            for pair in to_score:
+            # candidates holds to_score's pairs in order (they are distinct)
+            for pair, r in zip(to_score, candidates.right_positions.tolist()):
                 if pair not in predicted:
                     continue
-                r_row = self.rtable.row(r_index[pair[1]])
+                r_row = self.rtable.row(r)
                 for rule in self.negative_rules:
                     if rule.fires(row, r_row):
                         flipped_by[pair] = rule.name

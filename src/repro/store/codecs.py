@@ -72,12 +72,14 @@ class CandidateSetCodec(ArtifactCodec):
             raise StoreError(
                 "decoding a candidate set needs ltable/rtable context"
             ) from None
+        # the stored [lid, rid] lists map straight to row positions; an id
+        # missing from its table raises BlockingError
         return CandidateSet(
             ltable,
             rtable,
             payload["l_key"],
             payload["r_key"],
-            [tuple(p) for p in payload["pairs"]],
+            payload["pairs"],
             name=context.get("name") or payload.get("name", ""),
         )
 

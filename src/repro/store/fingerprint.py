@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import weakref
+from itertools import chain
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -277,6 +278,18 @@ def fingerprint_feature_set(feature_set: Iterable[Any]) -> str:
     return fingerprint_value(specs)
 
 
+def _id_code(item: Any) -> bytes | None:
+    """The canonical bytes of a ``str`` or ``int`` pair id (``None`` for
+    any other type, ``bool`` included)."""
+    kind = type(item)
+    if kind is str:
+        raw = item.encode("utf-8")
+        return b"S%d:%s" % (len(raw), raw)
+    if kind is int:
+        return b"I%d;" % item
+    return None
+
+
 def fingerprint_pairs(pairs: Sequence[Any]) -> str:
     """Fingerprint an ordered list of (left-id, right-id) pairs.
 
@@ -293,21 +306,40 @@ def fingerprint_pairs(pairs: Sequence[Any]) -> str:
         out.append(b"L2[")
         for item in pair:
             kind = type(item)
-            if kind is str:
-                data = encoded.get(item)
-                if data is None:
-                    raw = item.encode("utf-8")
-                    data = encoded[item] = b"S%d:%s" % (len(raw), raw)
-            elif kind is int:
-                data = encoded.get(item)
-                if data is None:
-                    data = encoded[item] = b"I%d;" % item
-            else:
+            if kind is not str and kind is not int:
                 return fingerprint_value([list(p) for p in pairs])
+            data = encoded.get(item)
+            if data is None:
+                data = encoded[item] = _id_code(item)
             out.append(data)
         out.append(b"]")
     out.append(b"]")
     return hashlib.sha256(b"".join(out)).hexdigest()
+
+
+def fingerprint_positions(
+    l_ids: Sequence[Any], r_ids: Sequence[Any], l_pos: np.ndarray, r_pos: np.ndarray
+) -> str:
+    """:func:`fingerprint_pairs` of the pairs ``(l_ids[i], r_ids[j])`` at
+    row positions ``i`` in *l_pos* and ``j`` in *r_pos* (a candidate set's
+    key columns and positions), without building a tuple per pair: each
+    row's id is encoded once and the pair bytes are joined from those."""
+    codes = []
+    for ids, positions, head, tail in ((l_ids, l_pos, b"L2[", b""), (r_ids, r_pos, b"", b"]")):
+        rows = positions.tolist()
+        by_row: dict[int, bytes] = {}
+        for row in dict.fromkeys(rows):
+            data = _id_code(ids[row])
+            if data is None:
+                return fingerprint_pairs(
+                    [(l_ids[i], r_ids[j]) for i, j in zip(l_pos.tolist(), r_pos.tolist())]
+                )
+            by_row[row] = head + data + tail
+        codes.append(map(by_row.__getitem__, rows))
+    digest = hashlib.sha256(b"L%d[" % len(l_pos))
+    digest.update(b"".join(chain.from_iterable(zip(*codes))))
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def fingerprint_labels(labels: Any) -> str:

@@ -31,6 +31,7 @@ from .fingerprint import (
     fingerprint_matcher,
     fingerprint_matrix,
     fingerprint_pairs,
+    fingerprint_positions,
     fingerprint_positive_rules,
     fingerprint_table,
     fingerprint_value,
@@ -229,10 +230,15 @@ class ExtractStage(StageOperator):
     def label(self) -> str:
         return f"extract:{self.candidates.name or 'candidates'}"
 
-    def _key_pairs(self) -> list[tuple]:
+    def _pairs_fingerprint(self) -> str:
+        c = self.candidates
         if self.pairs is None:
-            return list(self.candidates.pairs)
-        return [tuple(p) for p in self.pairs]
+            # the whole set, read from its row positions
+            return fingerprint_positions(
+                c.ltable[c.l_key], c.rtable[c.r_key],
+                c.left_positions, c.right_positions,
+            )
+        return fingerprint_pairs([tuple(p) for p in self.pairs])
 
     def fingerprint(self) -> dict[str, str]:
         return {
@@ -241,7 +247,7 @@ class ExtractStage(StageOperator):
             "keys": fingerprint_value(
                 (self.candidates.l_key, self.candidates.r_key)
             ),
-            "pairs": fingerprint_pairs(self._key_pairs()),
+            "pairs": self._pairs_fingerprint(),
             "features": fingerprint_feature_set(self.feature_set),
         }
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import (
     AttrEquivalenceBlocker,
@@ -18,7 +20,22 @@ from repro.blocking import (
 )
 from repro.errors import BlockingError
 from repro.table import Table
+from repro.table.ops import concat
 from repro.text import normalize_title
+
+from .candidate_set_reference import ReferenceCandidateSet
+
+
+def assert_immutable(candidates):
+    """No way to change a set's pairs in place: no ``add``, read-only
+    position arrays, and ``pairs`` hands out a copy."""
+    before = candidates.pairs
+    assert not hasattr(candidates, "add")
+    for positions in (candidates.left_positions, candidates.right_positions):
+        with pytest.raises(ValueError):
+            positions[:1] = 0
+    candidates.pairs.append(("x", "y"))
+    assert candidates.pairs == before
 
 
 def award_tables():
@@ -109,6 +126,67 @@ class TestCandidateSet:
     def test_full_cross_product_size(self):
         left, right = award_tables()
         assert len(full_cross_product(left, right, "id", "id")) == 9
+
+
+@st.composite
+def merge_worlds(draw):
+    """Two left slices (their ids may repeat across slices), a right table
+    and, for each slice, pairs over it (duplicates included)."""
+    ids = st.integers(0, 9)
+    slices = []
+    for i in range(2):
+        l_ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
+        slices.append(
+            Table({"id": l_ids, "t": [f"{i}-{v}" for v in l_ids]}, name=f"L{i}")
+        )
+    r_ids = draw(st.lists(ids, min_size=1, max_size=5, unique=True))
+    right = Table({"id": r_ids, "t": [str(v) for v in r_ids]}, name="R")
+    pair_lists = [
+        draw(st.lists(
+            st.tuples(st.sampled_from(t["id"]), st.sampled_from(r_ids)), max_size=12
+        ))
+        for t in slices
+    ]
+    return slices, right, pair_lists
+
+
+class TestMergedCandidateSets:
+    """``CandidateSet.merged`` equals the tuple oracle over the chained id
+    pairs of its parts, re-keyed onto the merged tables."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(merge_worlds(), st.sampled_from(["same", "copy", "reversed", "short"]))
+    def test_equals_chained_pairs(self, world, target):
+        slices, right, pair_lists = world
+        parts = [
+            CandidateSet(t, right, "id", "id", pairs, name=t.name)
+            for t, pairs in zip(slices, pair_lists)
+        ]
+        merged_left = concat(slices, name="LL")
+        rows = {
+            "same": list(range(len(right))),
+            "copy": list(range(len(right))),
+            "reversed": list(range(len(right)))[::-1],
+            "short": list(range(len(right)))[1:],
+        }[target]
+        merged_right = right if target == "same" else right.take(rows, name="R2")
+        chained = [pair for pairs in pair_lists for pair in pairs]
+        try:
+            expected = ReferenceCandidateSet(
+                merged_left, merged_right, "id", "id", chained, name="E"
+            )
+        except BlockingError as exc:
+            with pytest.raises(BlockingError) as got:
+                CandidateSet.merged(parts, merged_left, merged_right, name="E")
+            assert str(got.value) == str(exc)
+            return
+        got = CandidateSet.merged(parts, merged_left, merged_right, name="E")
+        assert got.pairs == expected.pairs and got.name == "E"
+        assert got.ltable is merged_left and got.rtable is merged_right
+        # rows, not just ids: a repeated left id resolves to its last row
+        assert got.to_table(["t"], ["t"]).to_rows() == (
+            expected.to_table(["t"], ["t"]).to_rows()
+        )
 
 
 class TestAttrEquivalence:
@@ -302,9 +380,14 @@ class TestCombiner:
         assert combined is not a
         assert combined.name == "C"
         assert a.name == "C2", "input set must keep its name"
-        combined.add((2, 20))
+        b = CandidateSet(left, right, "id", "id", [(2, 20)], name="B")
+        grown = union_candidates([combined, b], name="C")
+        combined.name = "renamed"
+        assert a.name == "C2", "renaming the copy must not rename the input"
         assert a.pairs == [(1, 10)], "input pair list must be untouched"
-        assert combined.pairs == [(1, 10), (2, 20)]
+        assert combined.pairs == [(1, 10)]
+        assert grown.pairs == [(1, 10), (2, 20)]
+        assert_immutable(combined)
 
     def test_intersection_of_single_set_returns_fresh_copy(self):
         left, right = award_tables()
@@ -313,8 +396,15 @@ class TestCombiner:
         assert combined is not a
         assert combined.name == "intersection"
         assert a.name == "C3"
-        combined.add((3, 30))
+        combined.name = "renamed"
+        assert a.name == "C3"
+        narrowed = intersect_candidates(
+            [combined, CandidateSet(left, right, "id", "id", [(2, 20), (3, 30)])]
+        )
+        assert narrowed.pairs == [(2, 20)]
         assert a.pairs == [(1, 10), (2, 20)]
+        assert combined.pairs == [(1, 10), (2, 20)]
+        assert_immutable(combined)
 
     def test_overlap_report(self):
         left, right = award_tables()

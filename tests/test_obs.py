@@ -572,3 +572,34 @@ class TestCli:
 
         namespace = argparse.Namespace(seed=7, small=True)
         assert _config(namespace).seed == 7
+
+
+class TestManifestSmallBaseline:
+    def test_storeless_run_matches_counts_and_token_gauges(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``casestudy --small --seed 45 --manifest`` in a fresh process
+        reproduces the committed baseline: its headline counts (what
+        ``trace diff --strict-counts`` compares) and its token-cache gauges,
+        which that diff does not compare."""
+        from repro.__main__ import main
+        from repro.runtime import TokenCache, context
+
+        # a fresh process's default cache: no other test's tokenisation
+        fresh = TokenCache()
+        monkeypatch.setattr(context, "get_default_cache", lambda: fresh)
+        path = tmp_path / "manifest.json"
+        args = ["casestudy", "--small", "--seed", "45", "--manifest", str(path)]
+        assert main(args) == 0
+        capsys.readouterr()
+        baseline = RunManifest.load(
+            Path(__file__).resolve().parent.parent
+            / "benchmarks/baselines/manifest_small.json"
+        )
+        run = RunManifest.load(path)
+        assert diff_manifests(baseline, run).counts_match
+        names = ("token_cache_hits", "token_cache_misses")
+        gauges = run.metrics["gauges"]
+        assert {n: gauges[n] for n in names} == {
+            n: baseline.metrics["gauges"][n] for n in names
+        }

@@ -48,6 +48,7 @@ from repro.store import (
     segment_bounds,
     segmented_block,
 )
+from repro.store.fingerprint import fingerprint_positions
 from repro.table import Table
 
 N_CASES = 25
@@ -212,6 +213,48 @@ class TestPairFingerprintFastPath:
 
     def test_bool_and_int_ids_differ(self):
         assert fingerprint_pairs([(1, 0)]) != fingerprint_pairs([(True, False)])
+
+
+class TestPositionFingerprint:
+    """``fingerprint_positions`` equals ``fingerprint_pairs`` of the
+    pairs its positions name, for every id type."""
+
+    @pytest.mark.parametrize("kind", sorted(ID_STRATEGIES))
+    def test_equals_tuple_fingerprint(self, kind):
+        ids = ID_STRATEGIES[kind]
+
+        @given(
+            st.lists(ids, min_size=1, max_size=8),
+            st.lists(ids, min_size=1, max_size=8),
+            st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),
+        )
+        def check(l_ids, r_ids, rows):
+            rows = [(i % len(l_ids), j % len(r_ids)) for i, j in rows]
+            l_pos = np.array([i for i, _ in rows], dtype=np.int64)
+            r_pos = np.array([j for _, j in rows], dtype=np.int64)
+            pairs = [(l_ids[i], r_ids[j]) for i, j in rows]
+            assert fingerprint_positions(l_ids, r_ids, l_pos, r_pos) == (
+                fingerprint_pairs(pairs)
+            )
+
+        check()
+
+    @pytest.mark.parametrize(
+        "l_ids, r_ids",
+        [
+            ([True, 1], [1, True]),
+            ([np.int64(3)], [4]),
+            ([1.0], [2]),
+            (["é"], ["e\u0301"]),
+        ],
+    )
+    def test_edge_ids(self, l_ids, r_ids):
+        l_pos = np.zeros(3, dtype=np.int64)
+        r_pos = np.array([0, len(r_ids) - 1, 0], dtype=np.int64)
+        pairs = [(l_ids[0], r_ids[j]) for j in r_pos.tolist()]
+        assert fingerprint_positions(l_ids, r_ids, l_pos, r_pos) == (
+            generic_pairs_fingerprint(pairs)
+        )
 
 
 class TestCanonicalEncoding:

@@ -389,6 +389,13 @@ def scratch_pairs_fingerprint(pairs) -> str:
     return fingerprint_value([list(p) for p in pairs])
 
 
+def scratch_positions_fingerprint(l_ids, r_ids, l_pos, r_pos) -> str:
+    """``fingerprint_positions`` through one tuple per pair and the generic walk."""
+    return scratch_pairs_fingerprint(
+        [(l_ids[i], r_ids[j]) for i, j in zip(l_pos, r_pos)]
+    )
+
+
 def small_matrix(seed: int, n: int = 40) -> FeatureMatrix:
     rng = np.random.default_rng(seed)
     return FeatureMatrix(
@@ -533,6 +540,7 @@ def test_figure10_replay_keys_equal_scratch_keys(case_study, tmp_path, monkeypat
     monkeypatch.setattr(stages, "fingerprint_matrix", scratch_matrix_fingerprint)
     monkeypatch.setattr(stages, "fingerprint_matcher", scratch_matcher_fingerprint)
     monkeypatch.setattr(stages, "fingerprint_pairs", scratch_pairs_fingerprint)
+    monkeypatch.setattr(stages, "fingerprint_positions", scratch_positions_fingerprint)
     for op, event in zip(ops, replay):
         assert event.label.startswith(op.label())
         assert store.digest(op.fingerprint()) == event.digest, event.label
