@@ -5,7 +5,9 @@ Times the full blocking pass and reproduces every count of Section 7:
 (overlap-coefficient 0.7), their intersection/differences, the
 consolidated |C|, the K-threshold sweep (K=1 explodes, K=7 nearly empty),
 and the blocking-debugger check that the top-ranked excluded pairs are not
-true matches.
+true matches. The warm rerun's stage tree gives the pairs each token
+blocker handed its keep-mask (``pairs_verified``); CI gates them, with
+|C3|, as exact counts (``benchmarks/baselines/trend.json``).
 """
 
 import time
@@ -25,6 +27,13 @@ def test_sec7_blocking(benchmark, run, emit_report):
         warm = run_blocking(tables)
     serial_s = time.perf_counter() - started
     assert warm.candidates.pairs == outcome.candidates.pairs
+    verified = {
+        key: instr.find(node).find("probe").counters["pairs_verified"]
+        for key, node in (
+            ("c2_pairs_verified", "C2:overlap_k3"),
+            ("c3_pairs_verified", "C3:coefficient"),
+        )
+    }
     sweep = threshold_sweep(tables, thresholds=(1, 3, 7))
     report = outcome.c2_c3_report
     truth = tables.truth
@@ -56,6 +65,8 @@ def test_sec7_blocking(benchmark, run, emit_report):
         rows=rows,
         data={
             "serial_seconds": serial_s,
+            "c3_pairs": len(outcome.c3),
+            **verified,
             "threshold_sweep": {str(k): v for k, v in sweep.items()},
         },
     )

@@ -66,7 +66,9 @@ class AttrEquivalenceBlocker(Blocker):
             values = [None if is_missing(v) else preprocess(v) for v in values]
         return [(rid, v) for rid, v in zip(table[key], values) if not is_missing(v)]
 
-    def _right_index(self, r_records: list[tuple[Any, Any]]) -> dict[Any, list[Any]]:
+    def _right_index(
+        self, session: EngineSession, r_records: list[tuple[Any, Any]]
+    ) -> dict[Any, list[Any]]:
         """The equi-join hash index: value -> rids in right-row order."""
         index: dict[Any, list[Any]] = {}
         for rid, value in r_records:
@@ -104,7 +106,9 @@ class AttrEquivalenceBlocker(Blocker):
             ltable, rtable, l_key, r_key, [(ltable, self.l_attr), (rtable, self.r_attr)]
         )
         l_records = self._records(session, ltable, l_key, left=True)
-        index = self._right_index(self._records(session, rtable, r_key, left=False))
+        index = self._right_index(
+            session, self._records(session, rtable, r_key, left=False)
+        )
         capped = capped_keys(
             {v: len(rids_) for v, rids_ in index.items()},
             self.block_size_policy,

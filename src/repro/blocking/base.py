@@ -39,8 +39,9 @@ class Blocker:
     #: the benchmark tracer use, also checks) and that the blocker defines
     #: the three hooks the handle and the batch path share:
     #: ``_records(session, table, key, left=...)`` reads a side's
-    #: blocking values, ``_right_index(r_records)`` indexes the right
-    #: side and ``_probe(session, l_records, right, capped)`` probes it.
+    #: blocking values, ``_right_index(session, r_records)`` indexes the
+    #: right side and ``_probe(session, l_records, right, capped)`` probes
+    #: it.
     supports_incremental = False
 
     def incremental(

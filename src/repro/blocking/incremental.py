@@ -52,7 +52,7 @@ class IncrementalBlocking:
         self._session = resolve_session(session)
         blocker._validate_table(rtable, r_key, blocker.r_attr)
         self._right = blocker._right_index(
-            blocker._records(self._session, rtable, r_key, left=False)
+            self._session, blocker._records(self._session, rtable, r_key, left=False)
         )
 
     def preview(self, batch: Table) -> list[Pair]:
