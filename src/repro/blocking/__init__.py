@@ -17,6 +17,7 @@ from .down_sample import down_sample
 from .factory import (
     BLOCKER_REGISTRY,
     BlockerConfig,
+    blocker_config,
     create_blocker,
     create_blockers,
     default_plan_configs,
@@ -48,6 +49,7 @@ __all__ = [
     "ShardedOverlapCoefficientBlocker",
     "SortedNeighborhoodBlocker",
     "UNCAPPED",
+    "blocker_config",
     "canonical_records",
     "create_blocker",
     "create_blockers",

@@ -8,18 +8,27 @@ matcher. So we need to find out how to represent it effectively."
 
 This module is that representation. A :class:`PackagedWorkflow` bundles
 
-* the positive (sure-match) rules, by name;
-* the blocking plan (blocker type + configuration per blocker);
+* the positive (sure-match) rules, by display name (``"M1"``), resolved
+  through :func:`repro.rules.factory.positive_rule_named`;
+* the blocking plan: one :func:`repro.blocking.factory.blocker_config`
+  payload per blocker, read back by
+  :func:`~repro.blocking.factory.create_blocker` (the plan configs' and
+  store keys' encoding too; the factory's ``BlockingError`` becomes
+  :class:`~repro.errors.WorkflowError` here);
 * the generated feature set, by feature *name* (generated features are
   reconstructable from their names — attribute, measure, tokenizer, case
   flag);
 * the trained matcher: decision trees / forests serialize their full node
   structure, plus the imputer's column means;
-* the negative rules, by name.
+* the negative rules, as ``"default"`` for
+  :func:`repro.rules.factory.create_negative_rules`.
 
-Everything round-trips through plain JSON-compatible dicts, so a workflow
-developed here can be checked into the production repository and reloaded
-without pickling arbitrary code.
+Every callable travels by its name in one of two tables:
+:data:`repro.text.tokenizers.TOKENIZERS` and
+:data:`repro.text.normalize.CELL_FUNCTIONS`. Everything round-trips
+through plain JSON-compatible dicts, so a workflow developed here can be
+checked into the production repository and reloaded without pickling
+arbitrary code.
 """
 
 from __future__ import annotations
@@ -31,44 +40,17 @@ from typing import Any
 
 import numpy as np
 
-from ..blocking.attr_equivalence import AttrEquivalenceBlocker
-from ..blocking.overlap import OverlapBlocker
-from ..blocking.overlap_coefficient import OverlapCoefficientBlocker
-from ..blocking.sharded import (
-    ShardedOverlapBlocker,
-    ShardedOverlapCoefficientBlocker,
-)
-from ..errors import WorkflowError
+from ..blocking.factory import blocker_config, create_blocker
+from ..errors import BlockingError, RuleError, WorkflowError
 from ..features.feature import STRING_MEASURES, TOKEN_MEASURES, numeric_feature, string_feature, token_feature
 from ..features.generate import FeatureSet
 from ..matchers.ml_matcher import MLMatcher
 from ..ml.forest import RandomForestClassifier
 from ..ml.impute import MeanImputer
 from ..ml.tree import DecisionTreeClassifier, _Node
-from ..rules.negative import default_negative_rules
-from ..rules.positive import award_project_rule, m1_rule
-from ..text.normalize import normalize_title
-from ..text.patterns import award_number_suffix
-from ..text.tokenizers import TOKENIZERS, whitespace
+from ..rules.factory import create_negative_rules, positive_rule_named
+from ..text.tokenizers import TOKENIZERS
 from .workflow import EMWorkflow
-
-# ----------------------------------------------------------------------
-# registries of named components (rules / preprocessors / normalizers)
-# ----------------------------------------------------------------------
-_POSITIVE_RULES = {
-    "M1": m1_rule,
-    "award_number=project_number": award_project_rule,
-}
-
-_NEGATIVE_RULE_SETS = {
-    "default": default_negative_rules,
-}
-
-_PREPROCESSORS = {
-    "award_number_suffix": award_number_suffix,
-    "normalize_title": normalize_title,
-    None: None,
-}
 
 
 # ----------------------------------------------------------------------
@@ -230,109 +212,24 @@ def feature_set_from_names(names: list[str]) -> FeatureSet:
 
 
 # ----------------------------------------------------------------------
-# blockers
+# blockers: the factory's payload, under packaging's error type
 # ----------------------------------------------------------------------
-def _preprocessor_name(fn) -> str | None:
-    for name, candidate in _PREPROCESSORS.items():
-        if candidate is fn:
-            return name
-    raise WorkflowError(f"cannot package preprocessor {fn!r}; register it first")
-
-
-def _tokenizer_name(fn) -> str:
-    for name, candidate in TOKENIZERS.items():
-        if candidate is fn:
-            return name
-    raise WorkflowError(f"cannot package tokenizer {fn!r}; register it first")
-
-
-def _policy_payload(blocker) -> dict[str, Any]:
-    """``{"max_block_size": n}`` when capped, else ``{}``.
-
-    The key is *omitted* (not null) for uncapped blockers so every
-    pre-existing payload — and therefore every store fingerprint of an
-    uncapped plan — stays byte-identical.
-    """
-    policy = getattr(blocker, "block_size_policy", None)
-    if policy is not None and policy.capped:
-        return {"max_block_size": policy.max_block_size}
-    return {}
-
-
-def _policy_arg(payload: dict[str, Any]) -> dict[str, Any]:
-    cap = payload.get("max_block_size")
-    return {"block_size_policy": cap} if cap is not None else {}
-
-
-#: The overlap-family kinds, which share one payload shape. A blocker
-#: packages under the first of its classes (in MRO order) listed here,
-#: so a sharded blocker never packages under its parent's kind.
-_TOKEN_BLOCKERS: dict[str, type] = {
-    "overlap": OverlapBlocker,
-    "overlap_coefficient": OverlapCoefficientBlocker,
-    "sharded_overlap": ShardedOverlapBlocker,
-    "sharded_overlap_coefficient": ShardedOverlapCoefficientBlocker,
-}
-_TOKEN_KINDS = {cls: kind for kind, cls in _TOKEN_BLOCKERS.items()}
-_SHARDED = (ShardedOverlapBlocker, ShardedOverlapCoefficientBlocker)
-
-
 def serialize_blocker(blocker) -> dict[str, Any]:
-    if isinstance(blocker, AttrEquivalenceBlocker):
-        return {
-            "kind": "attr_equivalence",
-            "l_attr": blocker.l_attr,
-            "r_attr": blocker.r_attr,
-            "l_preprocess": _preprocessor_name(blocker.l_preprocess),
-            "r_preprocess": _preprocessor_name(blocker.r_preprocess),
-            **_policy_payload(blocker),
-        }
-    kind = next(
-        (_TOKEN_KINDS[cls] for cls in type(blocker).__mro__ if cls in _TOKEN_KINDS),
-        None,
-    )
-    if kind is None:
-        raise WorkflowError(f"cannot package blocker {type(blocker).__name__}")
-    payload = {
-        "kind": kind,
-        "l_attr": blocker.l_attr,
-        "r_attr": blocker.r_attr,
-        "threshold": blocker.threshold,
-        "normalizer": _preprocessor_name(blocker.normalizer),
-    }
-    if isinstance(blocker, _SHARDED):
-        payload["shards"] = blocker.shards
-    if blocker.tokenizer is not whitespace:
-        # omitted for the default, so whitespace payloads (and the store
-        # keys hashing them) read as they did before the field existed
-        payload["tokenizer"] = _tokenizer_name(blocker.tokenizer)
-    return {**payload, **_policy_payload(blocker)}
+    """The blocker's payload, :func:`repro.blocking.factory.blocker_config`."""
+    try:
+        return blocker_config(blocker)
+    except BlockingError as exc:
+        raise WorkflowError(str(exc)) from exc
 
 
 def deserialize_blocker(payload: dict[str, Any]):
-    kind = payload.get("kind")
-    if kind == "attr_equivalence":
-        return AttrEquivalenceBlocker(
-            payload["l_attr"], payload["r_attr"],
-            l_preprocess=_PREPROCESSORS[payload["l_preprocess"]],
-            r_preprocess=_PREPROCESSORS[payload["r_preprocess"]],
-            **_policy_arg(payload),
-        )
-    cls = _TOKEN_BLOCKERS.get(kind)
-    if cls is None:
-        raise WorkflowError(f"unknown blocker kind {kind!r}")
-    shards = {"shards": payload["shards"]} if issubclass(cls, _SHARDED) else {}
-    tokenizer_name = payload.get("tokenizer")
-    tokenizer = whitespace if tokenizer_name is None else TOKENIZERS.get(tokenizer_name)
-    if tokenizer is None:
-        raise WorkflowError(f"unknown tokenizer {tokenizer_name!r}")
-    return cls(
-        payload["l_attr"], payload["r_attr"], threshold=payload["threshold"],
-        tokenizer=tokenizer,
-        normalizer=_PREPROCESSORS[payload["normalizer"]],
-        **shards,
-        **_policy_arg(payload),
-    )
+    """Rebuild a blocker from :func:`serialize_blocker` output."""
+    try:
+        blocker = create_blocker(payload)
+        blocker_config(blocker)  # a package holds only kinds that package
+    except BlockingError as exc:
+        raise WorkflowError(str(exc)) from exc
+    return blocker
 
 
 # ----------------------------------------------------------------------
@@ -349,11 +246,11 @@ class PackagedWorkflow:
     def to_dict(self) -> dict[str, Any]:
         if not self.matcher.is_fitted:
             raise WorkflowError("package a matcher only after training it")
-        unknown = [
-            r.name for r in self.workflow.positive_rules if r.name not in _POSITIVE_RULES
-        ]
-        if unknown:
-            raise WorkflowError(f"cannot package unregistered positive rules {unknown}")
+        try:
+            for rule in self.workflow.positive_rules:
+                positive_rule_named(rule.name)
+        except RuleError as exc:
+            raise WorkflowError(f"cannot package: {exc}") from exc
         return {
             "format": "repro-packaged-workflow/1",
             "name": self.workflow.name,
@@ -370,15 +267,16 @@ class PackagedWorkflow:
     def from_dict(cls, payload: dict[str, Any]) -> "PackagedWorkflow":
         if payload.get("format") != "repro-packaged-workflow/1":
             raise WorkflowError(f"unknown package format {payload.get('format')!r}")
+        try:
+            positive_rules = [positive_rule_named(n) for n in payload["positive_rules"]]
+            negative_rules = create_negative_rules(payload["negative_rules"] or [])
+        except RuleError as exc:
+            raise WorkflowError(str(exc)) from exc
         workflow = EMWorkflow(
             name=payload["name"],
-            positive_rules=[_POSITIVE_RULES[n]() for n in payload["positive_rules"]],
+            positive_rules=positive_rules,
             blockers=[deserialize_blocker(b) for b in payload["blockers"]],
-            negative_rules=(
-                _NEGATIVE_RULE_SETS[payload["negative_rules"]]()
-                if payload["negative_rules"]
-                else []
-            ),
+            negative_rules=negative_rules,
         )
         feature_set = feature_set_from_names(payload["features"])
         matcher = MLMatcher(deserialize_model(payload["model"]), payload["matcher_name"])

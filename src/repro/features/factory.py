@@ -33,22 +33,6 @@ FEATURE_REGISTRY: dict[str, Callable[..., FeatureSet]] = {
 }
 
 
-def register_feature_generator(name: str, builder: Callable[..., Any]) -> None:
-    """Register a feature-set generator (overwriting fails)."""
-    if name in FEATURE_REGISTRY:
-        raise FeatureError(f"feature generator {name!r} is already registered")
-    FEATURE_REGISTRY[name] = builder
-
-
-def section9_feature_config() -> dict[str, Any]:
-    """The case study's Section-9 feature recipe as a config."""
-    return {
-        "generator": "auto",
-        "exclude_attrs": ["RecordId", "AccessionNumber", "ProjectNumber"],
-        "case_insensitive_attrs": ["AwardTitle"],
-    }
-
-
 def create_feature_set(
     config: "str | Mapping[str, Any]", ltable: Any, rtable: Any
 ) -> FeatureSet:

@@ -243,14 +243,6 @@ class PlanRecipe:
     negative_rules: tuple
 
 
-def _materialize_blocker(value: Any) -> Any:
-    if isinstance(value, Mapping):
-        from ..blocking.factory import create_blocker
-
-        return create_blocker(value)
-    return value
-
-
 def recipe_from_spec(spec: PipelineSpec) -> PlanRecipe:
     """Extract (blockers, positive rules, negative rules) from a spec.
 
@@ -265,8 +257,11 @@ def recipe_from_spec(spec: PipelineSpec) -> PlanRecipe:
         raise PlanError(f"plan {spec.name!r} has no block nodes")
     slice_group = block_nodes[0].group
     in_slice = [n for n in spec.nodes if n.group == slice_group]
+    from ..blocking.factory import create_blocker
+    from ..rules.factory import create_negative_rules, create_positive_rules
+
     blockers = tuple(
-        _materialize_blocker(
+        create_blocker(
             n.params.get("blocker")
             if n.params.get("blocker") is not None
             else _port_error(n, "blocker")
@@ -287,8 +282,6 @@ def recipe_from_spec(spec: PipelineSpec) -> PlanRecipe:
                     return tuple(configs)  # live rule objects
                 return tuple(create(configs))
         return ()
-
-    from ..rules.factory import create_negative_rules, create_positive_rules
 
     return PlanRecipe(
         blockers=blockers,

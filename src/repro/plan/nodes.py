@@ -154,10 +154,9 @@ def _run_block(node, ins, ctx):
             f"node {node.id!r} (block) needs a blocker: wire a 'blocker' "
             f"input or set a 'blocker' param (config or instance)"
         )
-    if isinstance(blocker, Mapping):
-        from ..blocking.factory import create_blocker
+    from ..blocking.factory import create_blocker
 
-        blocker = create_blocker(blocker)
+    blocker = create_blocker(blocker)
     trace = node.params.get("trace", f"block:{blocker.short_name}")
     candidates = ctx.session.run_stage(
         BlockStage(

@@ -9,7 +9,8 @@ the params override the builder's keyword defaults. Builders return the
 value equality — and therefore store fingerprints — are unchanged.
 
 Unknown names raise :class:`~repro.errors.RuleError` listing what is
-available.
+available. Packaged workflows resolve rules here too:
+:func:`positive_rule_named` finds a positive rule by its display name.
 """
 
 from __future__ import annotations
@@ -42,22 +43,6 @@ NEGATIVE_RULE_REGISTRY: dict[str, Callable[..., ComparableMismatchRule]] = {
 }
 
 
-def _register(registry: dict, name: str, builder: Callable, what: str) -> None:
-    if name in registry:
-        raise RuleError(f"{what} rule {name!r} is already registered")
-    registry[name] = builder
-
-
-def register_positive_rule(name: str, builder: Callable[..., Any]) -> None:
-    """Register a positive-rule builder (overwriting fails)."""
-    _register(POSITIVE_RULE_REGISTRY, name, builder, "positive")
-
-
-def register_negative_rule(name: str, builder: Callable[..., Any]) -> None:
-    """Register a negative-rule builder (overwriting fails)."""
-    _register(NEGATIVE_RULE_REGISTRY, name, builder, "negative")
-
-
 def _create(registry: Mapping[str, Callable], config: Any, what: str) -> Any:
     if isinstance(config, str):
         kind, params = config, {}
@@ -86,6 +71,17 @@ def create_positive_rules(configs: Sequence[Any]) -> list[ExactNumberRule]:
     if isinstance(configs, (str, Mapping)):
         configs = [configs]
     return [_create(POSITIVE_RULE_REGISTRY, c, "positive") for c in configs]
+
+
+def positive_rule_named(name: str) -> ExactNumberRule:
+    """The registered positive rule whose ``name`` is *name*, built with
+    its defaults. Packaged workflows record rules by this display name
+    (``"M1"``), not by registry key (``"m1"``)."""
+    for builder in POSITIVE_RULE_REGISTRY.values():
+        rule = builder()
+        if rule.name == name:
+            return rule
+    raise RuleError(f"no registered positive rule is named {name!r}")
 
 
 def create_negative_rules(configs: Sequence[Any]) -> list[ComparableMismatchRule]:

@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..blocking.candidate_set import CandidateSet, Pair
+from ..text.normalize import identity
 from ..text.patterns import KNOWN_AWARD_PATTERNS, award_number_suffix, comparable
 
 Extractor = Callable[[Any], Any]
-
-
-def _identity(value: Any) -> Any:
-    return value
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,8 @@ class ComparableMismatchRule:
     name: str
     l_attr: str
     r_attr: str
-    l_extract: Extractor = field(default=_identity)
-    r_extract: Extractor = field(default=_identity)
+    l_extract: Extractor = field(default=identity)
+    r_extract: Extractor = field(default=identity)
     known_patterns: frozenset[str] = frozenset(KNOWN_AWARD_PATTERNS)
 
     def fires(self, l_row: dict[str, Any], r_row: dict[str, Any]) -> bool:

@@ -20,13 +20,10 @@ from ..blocking.candidate_set import CandidateSet, Pair
 from ..errors import RuleError
 from ..table import Table
 from ..table.column import is_missing
+from ..text.normalize import identity
 from ..text.patterns import award_number_suffix
 
 Extractor = Callable[[Any], Any]
-
-
-def _identity(value: Any) -> Any:
-    return value
 
 
 @dataclass(frozen=True)
@@ -39,8 +36,8 @@ class ExactNumberRule:
     name: str
     l_attr: str
     r_attr: str
-    l_extract: Extractor = field(default=_identity)
-    r_extract: Extractor = field(default=_identity)
+    l_extract: Extractor = field(default=identity)
+    r_extract: Extractor = field(default=identity)
 
     def _left_value(self, l_row: dict[str, Any]) -> Any:
         value = l_row.get(self.l_attr)

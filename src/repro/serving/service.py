@@ -49,7 +49,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from ..blocking.candidate_set import CandidateSet, Pair, row_index
 from ..blocking.combiner import union_candidates
-from ..blocking.factory import BlockerConfig, create_blocker
+from ..blocking.factory import create_blocker
 from ..core.patch import merge_match_sets
 from ..errors import ServingError
 from ..features.vectors import extract_feature_vectors
@@ -178,10 +178,7 @@ class MatchService:
         self.feature_set = feature_set
         self.positive_rules = list(positive_rules)
         self.negative_rules = list(negative_rules)
-        blockers = [
-            create_blocker(b) if isinstance(b, (Mapping, BlockerConfig)) else b
-            for b in blockers
-        ]
+        blockers = [create_blocker(b) for b in blockers]
         self._session = resolve_session(session)
         self.metrics: MetricsRegistry = self._session.metrics or MetricsRegistry()
         self.handles = [

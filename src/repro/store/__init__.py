@@ -30,7 +30,6 @@ from .fingerprint import (
     canonical_bytes,
     fingerprint_blocker,
     fingerprint_feature_set,
-    fingerprint_labels,
     fingerprint_matcher,
     fingerprint_matrix,
     fingerprint_pairs,
@@ -73,7 +72,6 @@ __all__ = [
     "fingerprint_positive_rules",
     "fingerprint_feature_set",
     "fingerprint_pairs",
-    "fingerprint_labels",
     "fingerprint_matcher",
     "fingerprint_matrix",
 ]

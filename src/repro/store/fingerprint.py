@@ -9,9 +9,10 @@ and sessions. These digests are the cache keys of the
 when every input fingerprint (plus the code-version salt) is unchanged.
 
 Configured components fingerprint through their *recipes*, not their
-Python objects: blockers via :func:`repro.core.serialize.serialize_blocker`
+Python objects: blockers via :func:`repro.blocking.factory.blocker_config`
 (plus the tokenizer's registry name even where the packaging format omits
-the default), feature sets via their
+the default), rule extractors by their
+:data:`~repro.text.normalize.CELL_FUNCTIONS` name, feature sets via their
 :attr:`~repro.features.feature.Feature.spec` tuples, matchers via
 :func:`repro.core.serialize.serialize_model`. Anything that cannot be
 reduced to plain data — a custom feature function, an unregistered
@@ -28,8 +29,9 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import UncacheableError, WorkflowError
+from ..errors import BlockingError, UncacheableError, WorkflowError
 from ..table import Table
+from ..text.normalize import CELL_FUNCTION_NAMES
 
 #: Salt mixed into every store key. Bump when a pipeline stage changes
 #: behaviour without changing its config schema, so stale artifacts from
@@ -213,41 +215,34 @@ def fingerprint_table_segments(
 
 
 # ----------------------------------------------------------------------
-# callables go through registries — identity of code, not of objects
-# ----------------------------------------------------------------------
-def _extractor_name(fn: Any) -> str:
-    from ..rules.positive import _identity
-    from ..text.patterns import award_number_suffix
-
-    registry = {_identity: "identity", award_number_suffix: "award_number_suffix"}
-    try:
-        return registry[fn]
-    except (KeyError, TypeError):
-        raise UncacheableError(
-            f"rule extractor {fn!r} is not a registered extractor"
-        ) from None
-
-
-# ----------------------------------------------------------------------
 # pipeline components
 # ----------------------------------------------------------------------
 def fingerprint_blocker(blocker: Any) -> str:
     """Fingerprint a blocker's full configuration.
 
-    Reuses the :mod:`repro.core.serialize` packaging recipe, with the
-    tokenizer's registry name always present: the packaging format omits
-    the default (``ws``), while store keys have always recorded it.
+    Hashes :func:`repro.blocking.factory.blocker_config`, the payload
+    packaging writes, with the tokenizer's name always present: the
+    payload omits the default (``ws``), while store keys have always
+    recorded it.
     """
-    from ..core.serialize import _tokenizer_name, serialize_blocker
+    from ..blocking.factory import blocker_config
 
     try:
-        config = serialize_blocker(blocker)
-        tokenizer = getattr(blocker, "tokenizer", None)
-        if tokenizer is not None:
-            config["tokenizer"] = _tokenizer_name(tokenizer)
-    except WorkflowError as exc:
+        config = blocker_config(blocker)
+    except BlockingError as exc:
         raise UncacheableError(str(exc)) from exc
+    if getattr(blocker, "tokenizer", None) is not None:
+        config.setdefault("tokenizer", "ws")
     return fingerprint_value(config)
+
+
+def _extractor_name(fn: Any) -> str:
+    try:
+        return CELL_FUNCTION_NAMES[fn]
+    except (KeyError, TypeError):
+        raise UncacheableError(
+            f"rule extractor {fn!r} is not a registered extractor"
+        ) from None
 
 
 def fingerprint_positive_rules(rules: Iterable[Any]) -> str:
@@ -340,13 +335,6 @@ def fingerprint_positions(
     digest.update(b"".join(chain.from_iterable(zip(*codes))))
     digest.update(b"]")
     return digest.hexdigest()
-
-
-def fingerprint_labels(labels: Any) -> str:
-    """Fingerprint a :class:`~repro.labeling.labels.LabeledPairs` store."""
-    return fingerprint_value(
-        [[list(pair), label.value] for pair, label in labels.items()]
-    )
 
 
 def _model_bytes(model: Any) -> bytes:

@@ -18,7 +18,7 @@ from .profile import (
     sample_rows,
     summarize_tables,
 )
-from .schema import AttrType, common_typed_columns, infer_schema, infer_type
+from .schema import AttrType, infer_schema, infer_type
 from .table import Row, Table
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "Table",
     "TableProfile",
     "aggregate",
-    "common_typed_columns",
     "compute_stats",
     "concat",
     "foreign_key_violations",

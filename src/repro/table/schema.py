@@ -67,17 +67,3 @@ def infer_schema(table: Table) -> dict[str, AttrType]:
     """Infer the type of every column of *table*."""
     return {c: infer_type(table[c]) for c in table.columns}
 
-
-def common_typed_columns(
-    left: Table,
-    right: Table,
-    exclude: Sequence[str] = (),
-) -> dict[str, tuple[AttrType, AttrType]]:
-    """Columns present in both tables, with their inferred types.
-
-    Feature generation pairs up same-named attributes of the two input
-    tables; columns listed in *exclude* (keys, bookkeeping ids) are skipped.
-    """
-    skip = set(exclude)
-    shared = [c for c in left.columns if c in right and c not in skip]
-    return {c: (infer_type(left[c]), infer_type(right[c])) for c in shared}

@@ -11,9 +11,10 @@ normalization is applied only where a specific step asks for it.
 from __future__ import annotations
 
 import re
-from typing import Any
+from typing import Any, Callable
 
 from ..table.column import is_missing
+from .patterns import award_number_suffix
 
 _SPECIAL_CHARS_RE = re.compile(r"""["'#!(){}\[\]*&^%$@~`;:?<>,\\/+=_-]""")
 _MULTI_SPACE_RE = re.compile(r"\s+")
@@ -45,3 +46,24 @@ def casefold_tokens(tokens: list[str]) -> list[str]:
 def collapse_whitespace(text: str) -> str:
     """Squeeze runs of whitespace to single spaces and trim."""
     return _MULTI_SPACE_RE.sub(" ", text).strip()
+
+
+def identity(value: Any) -> Any:
+    """The cell unchanged: the rules' default extractor."""
+    return value
+
+
+#: The named cell functions: blocker normalizers and preprocessors and
+#: rule extractors. Plan configs, packaged workflows and store keys all
+#: record a cell function by its name here (tokenizers have their own
+#: table, :data:`repro.text.tokenizers.TOKENIZERS`).
+CELL_FUNCTIONS: dict[str, Callable[[Any], Any]] = {
+    "identity": identity,
+    "normalize_title": normalize_title,
+    "award_number_suffix": award_number_suffix,
+}
+
+#: Function -> name, built once for the writers of configs and keys.
+CELL_FUNCTION_NAMES: dict[Callable[[Any], Any], str] = {
+    fn: name for name, fn in CELL_FUNCTIONS.items()
+}

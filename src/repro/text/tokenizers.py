@@ -81,3 +81,6 @@ TOKENIZERS: dict[str, Tokenizer] = {
     "qgm_2": qgram(2),
     "qgm_3": qgram(3),
 }
+
+#: Tokenizer -> name, built once for the writers of configs and keys.
+TOKENIZER_NAMES: dict[Tokenizer, str] = {fn: name for name, fn in TOKENIZERS.items()}

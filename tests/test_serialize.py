@@ -10,6 +10,7 @@ from repro.blocking import (
     OverlapCoefficientBlocker,
     ShardedOverlapBlocker,
     ShardedOverlapCoefficientBlocker,
+    blocker_config,
     create_blocker,
     full_cross_product,
 )
@@ -257,10 +258,31 @@ class TestBlockerSerialization:
                  "shards": 3},
             ),
         ]
+        cases += [
+            (
+                OverlapBlocker("A", "B", threshold=2, tokenizer=tokenizer,
+                               block_size_policy=cap),
+                {"kind": "overlap", "l_attr": "A", "r_attr": "B", "threshold": 2,
+                 "normalizer": None,
+                 **({} if name == "ws" else {"tokenizer": name})},
+            )
+            for name, tokenizer in TOKENIZERS.items()
+        ]
+        cases.append((
+            ShardedOverlapCoefficientBlocker("A", "B", threshold=0.5, shards=3,
+                                             tokenizer=TOKENIZERS["qgm_2"],
+                                             normalizer=normalize_title,
+                                             block_size_policy=cap),
+            {"kind": "sharded_overlap_coefficient", "l_attr": "A", "r_attr": "B",
+             "threshold": 0.5, "normalizer": "normalize_title", "shards": 3,
+             "tokenizer": "qgm_2"},
+        ))
         for blocker, expected in cases:
             payload = serialize_blocker(blocker)
-            # key order too: fingerprints hash the payload as written
+            # key order too: packages write the payload as it stands
             assert list(payload.items()) == list({**expected, **capped}.items())
+            # both readers accept the one writer's payload back
+            assert blocker_config(create_blocker(payload)) == payload
             assert serialize_blocker(deserialize_blocker(payload)) == payload
 
 
@@ -342,6 +364,55 @@ class TestPackagedWorkflow:
         package.matcher = package.matcher.clone()
         with pytest.raises(WorkflowError, match="after training"):
             package.to_dict()
+
+    #: A package written before blockers and rules packaged through the
+    #: factories: each blocker payload shape, both positive rules by
+    #: display name, and the default negative rule set.
+    PINNED = {
+        "format": "repro-packaged-workflow/1", "name": "pinned",
+        "positive_rules": ["M1", "award_number=project_number"],
+        "blockers": [
+            {"kind": "attr_equivalence", "l_attr": "AwardNumber",
+             "r_attr": "AwardNumber", "l_preprocess": "award_number_suffix",
+             "r_preprocess": None},
+            {"kind": "overlap", "l_attr": "AwardTitle", "r_attr": "AwardTitle",
+             "threshold": 3, "normalizer": "normalize_title", "tokenizer": "qgm_3"},
+            {"kind": "overlap_coefficient", "l_attr": "AwardTitle",
+             "r_attr": "AwardTitle", "threshold": 0.7, "normalizer": None,
+             "max_block_size": 40},
+            {"kind": "sharded_overlap", "l_attr": "AwardTitle",
+             "r_attr": "AwardTitle", "threshold": 2, "normalizer": None,
+             "shards": 8},
+        ],
+        "negative_rules": "default",
+        "features": ["AwardTitle_AwardTitle_jac_ws"],
+        "matcher_name": "DT",
+        "model": {
+            "kind": "decision_tree",
+            "params": {"max_depth": None, "min_samples_split": 2,
+                       "min_samples_leaf": 1, "max_features": None, "seed": 0},
+            "n_features": 1, "importances": [1.0],
+            "root": {"n": 4, "p": 0.5, "f": 0, "t": 0.5,
+                     "l": {"n": 2, "p": 0.0}, "r": {"n": 2, "p": 1.0}},
+        },
+        "imputer_means": [0.5],
+    }
+
+    def test_pinned_payload_loads_and_reemits(self):
+        import json
+
+        loaded = PackagedWorkflow.from_dict(json.loads(json.dumps(self.PINNED)))
+        assert [r.name for r in loaded.workflow.positive_rules] == self.PINNED["positive_rules"]
+        assert loaded.workflow.negative_rules == default_negative_rules()
+        assert json.dumps(loaded.to_dict()) == json.dumps(self.PINNED)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("positive_rules", ["M9"], "M9"),
+        ("negative_rules", "strict", "strict"),
+    ])
+    def test_unknown_rule_names_raise_workflow_error(self, field, value, match):
+        with pytest.raises(WorkflowError, match=match):
+            PackagedWorkflow.from_dict({**self.PINNED, field: value})
 
     def test_unknown_format_rejected(self):
         with pytest.raises(WorkflowError, match="format"):

@@ -29,9 +29,12 @@ from repro.store import (
     LABELS,
     MATCHER,
     PAIR_LIST,
+    CODE_SALT,
     ArtifactStore,
+    fingerprint_blocker,
     fingerprint_matcher,
     fingerprint_matrix,
+    fingerprint_positive_rules,
     fingerprint_value,
 )
 from repro.table import Table
@@ -403,6 +406,26 @@ def small_matrix(seed: int, n: int = 40) -> FeatureMatrix:
         feature_names=["a", "b", "c"],
         values=rng.uniform(size=(n, 3)),
     )
+
+
+class TestStoreKeysPinned:
+    """The Section-7 plan's component keys, literally. Every stored
+    blocking and sure-match artifact is keyed by these, so a change in
+    how blockers or rule extractors are named orphans the store."""
+
+    def test_section7_component_keys(self):
+        from repro.casestudy.blocking_plan import make_blockers
+        from repro.casestudy.workflows import positive_rules
+
+        assert CODE_SALT == "repro-store/5"
+        assert [fingerprint_blocker(b) for b in make_blockers()] == [
+            "c5d991b133653db6d807167e2e353841c847d03cbf72977a61f651f218d92c87",
+            "7217dcaadfd04eb849a0a0377c95e477b9f9c71ba5524ff07847bbf7c65de594",
+            "0d3341b96e8230fdbb0fc0be2cdcbebae1c14fc349de570d8812de3cbc5f376b",
+        ]
+        assert fingerprint_positive_rules(positive_rules()) == (
+            "637f2d2af972fbe130e7b7852be59b48758b6c000d439bc47d82dc71ee706680"
+        )
 
 
 MODELS = [
